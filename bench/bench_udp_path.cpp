@@ -23,6 +23,11 @@
 //   wakeups_per_msg    — event-loop poll returns / delivered message
 //   dgrams_per_syscall — datagrams moved per socket syscall
 //   rx_copies          — staging copies on the receive path (must be 0)
+//   rx_pinned_bytes_per_payload_byte — distinct backing-buffer bytes
+//                        held by the nodes' logs of every delivered
+//                        payload, over those payloads' bytes: what
+//                        keeping deliveries costs in memory (a datagram
+//                        that pins a whole receive buffer shows here)
 //   udp_path/ratio:syscall_ratio — fallback syscalls_per_msg / mmsg's
 #include <benchmark/benchmark.h>
 
@@ -30,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -129,6 +135,23 @@ struct Mesh {
     }
   }
 
+  // Distinct backing-buffer bytes held by the delivery logs of every
+  // node (each delivered payload is kept there), per payload byte.
+  double pinned_bytes_per_payload_byte() const {
+    std::set<const util::Bytes*> buffers;
+    double pinned = 0, used = 0;
+    for (const auto& n : nodes) {
+      for (const Delivery& d : n->deliveries()) {
+        used += static_cast<double>(d.payload.size());
+        const util::SharedBytes& buf = d.payload.buffer();
+        if (buf != nullptr && buffers.insert(buf.get()).second) {
+          pinned += static_cast<double>(buf->size());
+        }
+      }
+    }
+    return used > 0 ? pinned / used : 0;
+  }
+
   // App messages delivered per round, summed over all receiving nodes.
   static double deliveries_per_round() {
     return 4.0 * (4 * kBurst) + 2.0 * (2 * (kBurst / 2));
@@ -195,10 +218,12 @@ void BM_UdpPath(benchmark::State& state) {
   }
 
   const double spm = syscalls / msgs;
+  const double pinned = mesh.pinned_bytes_per_payload_byte();
   state.counters["syscalls_per_msg"] = spm;
   state.counters["msgs_per_sec"] = msgs / secs;
   state.counters["wakeups_per_msg"] = wakeups / msgs;
   state.counters["dgrams_per_syscall"] = dgrams / syscalls;
+  state.counters["rx_pinned_bytes_per_payload_byte"] = pinned;
 
   const char* mode = want_mmsg ? "mmsg" : "fallback";
   benchutil::emit_bench_json("udp_path/" + std::string(mode),
@@ -206,7 +231,8 @@ void BM_UdpPath(benchmark::State& state) {
                               {"msgs_per_sec", msgs / secs},
                               {"wakeups_per_msg", wakeups / msgs},
                               {"dgrams_per_syscall", dgrams / syscalls},
-                              {"rx_copies", copies}});
+                              {"rx_copies", copies},
+                              {"rx_pinned_bytes_per_payload_byte", pinned}});
   (want_mmsg ? g_spm_mmsg : g_spm_fallback) = spm;
   if (g_spm_mmsg > 0 && g_spm_fallback > 0) {
     benchutil::emit_bench_json(

@@ -58,6 +58,12 @@ std::uint32_t get_le32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
+// Receive slab geometry, derived from rx_buffer_bytes: a slab holds
+// kRxSlabFactor receive windows, and datagrams start on kRxAlign-byte
+// boundaries within it.
+constexpr std::size_t kRxSlabFactor = 4;
+constexpr std::size_t kRxAlign = 64;
+
 // Deadline-bounded poll. On Linux ppoll gives microsecond precision, so
 // the loop wakes exactly at the earliest RTO / delayed-ack deadline; the
 // portable fallback rounds the timeout up to whole milliseconds (poll
@@ -140,14 +146,23 @@ bool UdpSocket::wait_readable(int timeout_ms) {
 // ---------------------------------------------------------------------------
 // UdpTransport
 
-// Per-consumer burst scratch. `slabs` are full-size pooled buffers the
-// kernel writes datagrams into; a consumed slab is moved out (shared,
-// sliced, handed upward) and its slot refilled from the pool on the next
-// drain — recycled slabs come back at full element count, so no
-// zero-fill and no copy ever touches the receive path. The tx arrays are
-// used only by the event loop's flush (shards never transmit).
+// One burst slot's packing slab. `buf` backs every payload slice cut
+// from it; the kernel writes the next datagram at `off`, into bytes no
+// slice covers yet (`data` is the writable alias of buf's storage, taken
+// before it was shared). A slab that can no longer fit a full receive
+// window is dropped for a fresh one; its slices keep it alive, and it
+// recycles through the pool when the last of them is released.
+struct UdpTransport::RxSlab {
+  util::SharedBytes buf;
+  std::uint8_t* data = nullptr;
+  std::size_t off = 0;
+};
+
+// Per-consumer burst scratch: one packing slab per burst slot, plus the
+// mmsg arrays. The tx arrays are used only by the event loop's flush
+// (shards never transmit).
 struct UdpTransport::RxSlots {
-  std::vector<util::Bytes> slabs;
+  std::vector<RxSlab> slabs;
 #if NEWTOP_HAS_MMSG
   std::vector<mmsghdr> msgs;
   std::vector<iovec> iovs;
@@ -171,14 +186,14 @@ struct UdpTransport::RxSlots {
 UdpTransport::UdpTransport(std::uint16_t port, UdpTransportConfig config)
     : cfg_(config), socket_(port, config.rx_shards > 0) {
   NEWTOP_CHECK(cfg_.burst > 0);
-  // Floor the pool's per-class byte budget at the burst working set:
-  // up to 2*burst full-size rx slabs are in flight between drains, and
-  // a pool that cannot hold them round-trips every datagram through the
-  // allocator.
-  cfg_.pool.max_bytes_per_class =
-      std::max(cfg_.pool.max_bytes_per_class,
-               2 * cfg_.burst * cfg_.rx_buffer_bytes);
-  cfg_.pool.max_class = std::max(cfg_.pool.max_class, cfg_.rx_buffer_bytes);
+  rx_slab_bytes_ = kRxSlabFactor * cfg_.rx_buffer_bytes;
+  // Floor the pool's per-class byte budget at one receive slab per
+  // burst slot: every slot may rotate in the same drain, and a pool that
+  // cannot hold that many released slabs round-trips (and zero-fills)
+  // them through the allocator.
+  cfg_.pool.max_bytes_per_class = std::max(cfg_.pool.max_bytes_per_class,
+                                           cfg_.burst * rx_slab_bytes_);
+  cfg_.pool.max_class = std::max(cfg_.pool.max_class, rx_slab_bytes_);
   pool_ = util::BufferPool::create(cfg_.pool);
   shard_threads_target_ = cfg_.rx_shards;
   for (std::size_t i = 0; i < shard_threads_target_; ++i) {
@@ -263,20 +278,28 @@ void UdpTransport::attach(UdpNode* node) {
   util::MutexLock lock(state_mutex_);
   const auto [it, inserted] = nodes_.emplace(node->id(), node);
   NEWTOP_CHECK_MSG(inserted, "duplicate node id on transport");
+  ++nodes_gen_;
   wake();
 }
 
 void UdpTransport::detach(UdpNode* node) {
   util::MutexLock lock(state_mutex_);
   nodes_.erase(node->id());
+  ++nodes_gen_;
   wake();  // cut a long idle poll short; in_dispatch_ spans it
   // The loop may be mid-iteration with the node still in its snapshot;
   // wait it out so the node cannot be touched after detach returns.
   // (Consequently a node must not be stopped from the loop thread
-  // itself — i.e. from inside an event sink or command.) Explicit loop
-  // rather than the predicate overload: the analysis sees the guarded
-  // read of in_dispatch_ under the held lock.
-  while (in_dispatch_) detach_cv_.wait(lock.native());
+  // itself — i.e. from inside an event sink or command.) One iteration
+  // boundary is enough: the next iteration snapshots nodes_ after the
+  // erase above. Waiting for in_dispatch_ alone could starve, since the
+  // loop clears it for only a few instructions before re-taking the
+  // lock. Explicit loop rather than the predicate overload: the
+  // analysis sees the guarded reads under the held lock.
+  const std::uint64_t gen = dispatch_gen_;
+  while (in_dispatch_ && dispatch_gen_ == gen) {
+    detach_cv_.wait(lock.native());
+  }
 }
 
 void UdpTransport::queue_send(ProcessId from, ProcessId to,
@@ -310,47 +333,61 @@ void UdpTransport::queue_send(ProcessId from, ProcessId to,
 }
 
 void UdpTransport::wake() {
-  if (wake_pending_.exchange(true)) return;
+  // Every wake writes: no "wake pending" flag whose ordering against the
+  // loop's drain could leave it set over an empty pipe and swallow the
+  // wakes after it. A full pipe (EAGAIN) is already readable, so a
+  // failed write loses nothing.
   const std::uint8_t b = 0;
   (void)!::write(wake_fds_[1], &b, 1);
 }
 
+std::uint8_t* UdpTransport::rx_window(RxSlab& slab) {
+  if (slab.buf == nullptr ||
+      slab.off + cfg_.rx_buffer_bytes > rx_slab_bytes_) {
+    // Recycled slabs come back at full element count, so the resize in
+    // acquire_full zero-fills only a slab's first use.
+    util::Bytes b = pool_->acquire_full(rx_slab_bytes_);
+    slab.data = b.data();
+    slab.buf = pool_->share(std::move(b));
+    slab.off = 0;
+  }
+  return slab.data + slab.off;
+}
+
+void UdpTransport::consume(RxSlab& slab, std::size_t len, int flags,
+                           std::vector<RxItem>& out) {
+  if ((flags & MSG_TRUNC) != 0) {
+    // Datagram exceeded rx_buffer_bytes: undecodable, drop. Its window
+    // is reused for the next datagram.
+    rx_truncated_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const std::uint8_t* dgram = slab.data + slab.off;
+  if (len < kUdpEnvelopeSize || dgram[0] != kUdpEnvelopeMagic) {
+    rx_unroutable_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  RxItem item;
+  item.src = get_le32(dgram + 1);
+  item.dst = get_le32(dgram + 5);
+  // The payload goes upward as a slice of the shared slab, past the
+  // envelope — no copy, ever — and the slot moves on past it, so the
+  // slab's later datagrams never touch bytes a slice covers.
+  item.payload = util::BytesView(slab.buf, slab.off + kUdpEnvelopeSize,
+                                 len - kUdpEnvelopeSize);
+  out.push_back(std::move(item));
+  slab.off += (len + kRxAlign - 1) / kRxAlign * kRxAlign;
+}
+
 void UdpTransport::drain_socket(int fd, RxSlots& slots,
                                 std::vector<RxItem>& out) {
-  const auto consume = [&](util::Bytes& slab, std::size_t len, int flags) {
-    if ((flags & MSG_TRUNC) != 0) {
-      // Datagram exceeded rx_buffer_bytes: undecodable, drop. The slab
-      // stays in its slot for the next datagram.
-      rx_truncated_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (len < kUdpEnvelopeSize || slab[0] != kUdpEnvelopeMagic) {
-      rx_unroutable_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    RxItem item;
-    item.src = get_le32(slab.data() + 1);
-    item.dst = get_le32(slab.data() + 5);
-    // The slab is shared at full size and the payload handed upward as a
-    // slice past the envelope — no resize (a recycled slab would pay the
-    // zero-fill back on reacquire) and no copy, ever. Long-lived slices
-    // of mostly-empty slabs are the retention compactor's job.
-    item.payload = util::BytesView(pool_->share(std::move(slab)),
-                                   kUdpEnvelopeSize,
-                                   len - kUdpEnvelopeSize);
-    out.push_back(std::move(item));
-  };
-
 #if NEWTOP_HAS_MMSG
   if (cfg_.use_mmsg) {
     const std::size_t burst = cfg_.burst;
     for (;;) {
       for (std::size_t i = 0; i < burst; ++i) {
-        if (slots.slabs[i].empty()) {
-          slots.slabs[i] = pool_->acquire_full(cfg_.rx_buffer_bytes);
-        }
-        slots.iovs[i].iov_base = slots.slabs[i].data();
-        slots.iovs[i].iov_len = slots.slabs[i].size();
+        slots.iovs[i].iov_base = rx_window(slots.slabs[i]);
+        slots.iovs[i].iov_len = cfg_.rx_buffer_bytes;
         std::memset(&slots.msgs[i].msg_hdr, 0, sizeof(msghdr));
         slots.msgs[i].msg_hdr.msg_iov = &slots.iovs[i];
         slots.msgs[i].msg_hdr.msg_iovlen = 1;
@@ -368,7 +405,8 @@ void UdpTransport::drain_socket(int fd, RxSlots& slots,
       for (int i = 0; i < n; ++i) {
         consume(slots.slabs[static_cast<std::size_t>(i)],
                 slots.msgs[static_cast<std::size_t>(i)].msg_len,
-                slots.msgs[static_cast<std::size_t>(i)].msg_hdr.msg_flags);
+                slots.msgs[static_cast<std::size_t>(i)].msg_hdr.msg_flags,
+                out);
       }
       // A short burst means the queue is drained; a full one may hide
       // more behind it.
@@ -376,13 +414,10 @@ void UdpTransport::drain_socket(int fd, RxSlots& slots,
     }
   }
 #endif
-  // Per-packet fallback: same pooled-slab discipline, one datagram per
+  // Per-packet fallback: the same packing slab, one datagram per
   // recvmsg call.
   for (;;) {
-    if (slots.slabs[0].empty()) {
-      slots.slabs[0] = pool_->acquire_full(cfg_.rx_buffer_bytes);
-    }
-    iovec iov{slots.slabs[0].data(), slots.slabs[0].size()};
+    iovec iov{rx_window(slots.slabs[0]), cfg_.rx_buffer_bytes};
     sockaddr_in from{};
     msghdr mh{};
     mh.msg_iov = &iov;
@@ -393,7 +428,7 @@ void UdpTransport::drain_socket(int fd, RxSlots& slots,
     rx_syscalls_.fetch_add(1, std::memory_order_relaxed);
     if (n < 0) return;
     rx_datagrams_.fetch_add(1, std::memory_order_relaxed);
-    consume(slots.slabs[0], static_cast<std::size_t>(n), mh.msg_flags);
+    consume(slots.slabs[0], static_cast<std::size_t>(n), mh.msg_flags, out);
   }
 }
 
@@ -477,13 +512,13 @@ bool UdpTransport::wait_events(sim::Duration timeout_us,
   const int ret = poll_us(fds, nfds, std::max<sim::Duration>(0, timeout_us));
   wakeups_.fetch_add(1, std::memory_order_relaxed);
   if (ret > 0 && (fds[0].revents & POLLIN) != 0) {
-    // Drain before clearing the flag: a writer sets the flag before it
-    // writes, so any byte racing past the drain leaves the flag set and
-    // the next wake() writes again — no lost wakeups.
-    std::uint8_t buf[64];
+    // Every wake() writes, so a byte that misses this drain keeps the
+    // pipe readable and the next poll returns at once. The work a
+    // drained byte announced was queued before its write, so this
+    // iteration's dispatch (which follows) sees it.
+    std::uint8_t buf[256];
     while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
     }
-    wake_pending_.store(false);
   }
   // Readable, per the kernel — the caller skips the receive drain
   // otherwise (a guaranteed-empty recv* call per iteration would be
@@ -493,11 +528,17 @@ bool UdpTransport::wait_events(sim::Duration timeout_us,
 
 void UdpTransport::loop() {
   std::vector<RxItem> items;
-  std::map<ProcessId, UdpNode*> snapshot;
+  // Sorted by id (copied from the map); rebuilt in place only when the
+  // node set changed, so an idle iteration allocates nothing.
+  std::vector<std::pair<ProcessId, UdpNode*>> snapshot;
+  std::uint64_t snapshot_gen = 0;
   while (!stopping_.load()) {
     {
       util::MutexLock lock(state_mutex_);
-      snapshot = nodes_;
+      if (snapshot_gen != nodes_gen_) {
+        snapshot.assign(nodes_.begin(), nodes_.end());
+        snapshot_gen = nodes_gen_;
+      }
       in_dispatch_ = true;
     }
     sim::Time now = steady_now_us();
@@ -529,8 +570,10 @@ void UdpTransport::loop() {
     }
     now = steady_now_us();
     for (auto& item : items) {
-      const auto it = snapshot.find(item.dst);
-      if (it == snapshot.end()) {
+      const auto it = std::lower_bound(
+          snapshot.begin(), snapshot.end(), item.dst,
+          [](const auto& entry, ProcessId id) { return entry.first < id; });
+      if (it == snapshot.end() || it->first != item.dst) {
         rx_unroutable_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
@@ -547,6 +590,7 @@ void UdpTransport::loop() {
     {
       util::MutexLock lock(state_mutex_);
       in_dispatch_ = false;
+      ++dispatch_gen_;
     }
     detach_cv_.notify_all();
   }
@@ -573,9 +617,6 @@ void UdpTransport::shard_loop(std::size_t shard) {
                        std::make_move_iterator(items.end()));
     }
     wake();
-  }
-  for (auto& slab : slots.slabs) {
-    if (!slab.empty()) pool_->release(std::move(slab));
   }
 }
 
@@ -700,12 +741,12 @@ void UdpNode::on_rx(ProcessId from, util::BytesView payload, sim::Time now) {
 }
 
 void UdpNode::pump(sim::Time now) {
-  std::deque<std::function<void(Endpoint&, sim::Time)>> cmds;
   {
     util::MutexLock lock(mutex_);
-    cmds.swap(commands_);
+    running_.swap(commands_);
   }
-  for (auto& cmd : cmds) cmd(*endpoint_, now_us());
+  for (auto& cmd : running_) cmd(*endpoint_, now_us());
+  running_.clear();
   // Protocol housekeeping (suspicion, omega, retention compaction) keeps
   // its coarse cadence; transport timers are handled in flush() every
   // iteration at deadline precision.

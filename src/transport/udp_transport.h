@@ -11,8 +11,9 @@
 //    plus the burst machinery: transmit flushes drain into `sendmmsg`
 //    calls (scatter-gather, partial-send resume on EAGAIN) and the
 //    receive side drains whole bursts via `recvmmsg` directly into
-//    pooled buffers — one syscall moves many datagrams, and a received
-//    datagram is never staged through a scratch copy. Non-Linux builds
+//    shared pooled slabs, packed back to back — one syscall moves many
+//    datagrams, a received datagram is never staged through a scratch
+//    copy, and it pins memory in proportion to its size. Non-Linux builds
 //    and `-DNEWTOP_NO_MMSG` keep a per-packet sendmsg/recvmsg path with
 //    identical wire behaviour.
 //  - `UdpNode` is a complete Newtop endpoint registered on a transport.
@@ -116,9 +117,12 @@ struct UdpTransportConfig {
   std::size_t rx_shards = 0;
   // Per-datagram receive capacity. Datagrams larger than this are
   // dropped (counted rx_truncated) — keep it at the UDP maximum unless
-  // the deployment bounds its payloads. Received datagrams occupy a
-  // buffer of this class until released or compacted (the engine's
-  // retention compaction right-sizes long-lived slices).
+  // the deployment bounds its payloads. Every receive window is this
+  // large, but datagrams are packed into shared slabs of four windows,
+  // each taking only its own length (rounded up to 64 bytes), so a
+  // retained slice pins about its own bytes, not a whole window. A
+  // slice that outlives its slab-mates pins the slab; the engine's
+  // retention compaction right-sizes those.
   std::size_t rx_buffer_bytes = 65536;
   // Pending-transmit cap: datagrams the tx queue may hold across
   // EAGAIN partial-send resumes before new ones are dropped as loss.
@@ -127,8 +131,8 @@ struct UdpTransportConfig {
   // explicitly, so this only bounds staleness of the idle loop).
   sim::Duration max_idle_wait = 50 * sim::kMillisecond;
   // Pool shared by every node on this transport. The per-class byte
-  // budget is floored at 2*burst*rx_buffer_bytes so the in-flight rx
-  // slab working set recycles instead of thrashing the allocator.
+  // budget is floored at burst receive slabs, so every slot can rotate
+  // to a recycled slab at once instead of thrashing the allocator.
   util::BufferPoolConfig pool;
 };
 
@@ -176,9 +180,10 @@ class UdpTransport {
     util::Bytes data;
   };
 
-  // Per-consumer receive state: pre-acquired full-size pooled slabs the
-  // kernel writes into, plus the mmsg scratch arrays. The loop has one;
-  // each shard thread has its own (no sharing, no locks).
+  // Per-consumer receive state: one packing slab per burst slot that
+  // the kernel writes into, plus the mmsg scratch arrays. The loop has
+  // one; each shard thread has its own (no sharing, no locks).
+  struct RxSlab;
   struct RxSlots;
 
   // Node lifecycle (called by UdpNode).
@@ -193,8 +198,17 @@ class UdpTransport {
 
   void loop();
   void shard_loop(std::size_t shard);
-  // Drains `fd` into `out` until the socket would block.
+  // Drains `fd` into `out` until the socket would block. Each datagram
+  // lands in the free tail of its slot's slab and goes upward as a slice
+  // of that slab.
   void drain_socket(int fd, RxSlots& slots, std::vector<RxItem>& out);
+  // The slot's next receive window (rx_buffer_bytes long), rotating the
+  // slot to a fresh pooled slab when its tail is shorter than that.
+  std::uint8_t* rx_window(RxSlab& slab);
+  // Hands the datagram just received into the slot's window upward (or
+  // counts the drop) and advances the slot past it.
+  void consume(RxSlab& slab, std::size_t len, int flags,
+               std::vector<RxItem>& out);
   void flush_tx();
   bool wait_events(sim::Duration timeout_us, bool poll_socket_rx);
 
@@ -203,17 +217,23 @@ class UdpTransport {
   std::vector<std::unique_ptr<UdpSocket>> shard_sockets_;
   std::size_t shard_threads_target_ = 0;
   util::BufferPoolPtr pool_;
-  int wake_fds_[2] = {-1, -1};  // self-pipe: [read, write]
-  std::atomic<bool> wake_pending_{false};
+  std::size_t rx_slab_bytes_ = 0;  // receive slab size, see RxSlab
+  // Self-pipe: [read, write]. Every wake() writes a byte, so a wake that
+  // lands after the loop drained the pipe always leaves it readable.
+  int wake_fds_[2] = {-1, -1};
 
-  // Lifecycle + attached-node registry. The loop snapshots the node set
-  // each iteration and dispatches outside the lock (so node callbacks
-  // may re-enter transport APIs); detach waits for the in-flight
-  // iteration, after which the loop can no longer reach the node.
+  // Lifecycle + attached-node registry. The loop dispatches outside the
+  // lock (so node callbacks may re-enter transport APIs) over a snapshot
+  // it rebuilds only when nodes_gen_ moves; detach waits for the
+  // in-flight iteration (one dispatch_gen_ step), after which the loop
+  // can no longer reach the node.
   mutable util::Mutex state_mutex_;
   std::condition_variable detach_cv_;
   std::map<ProcessId, UdpNode*> nodes_ GUARDED_BY(state_mutex_);
+  std::uint64_t nodes_gen_ GUARDED_BY(state_mutex_) = 0;
   bool in_dispatch_ GUARDED_BY(state_mutex_) = false;
+  // Bumped each time the loop clears in_dispatch_ (see detach).
+  std::uint64_t dispatch_gen_ GUARDED_BY(state_mutex_) = 0;
   bool started_ GUARDED_BY(state_mutex_) = false;
   std::atomic<bool> stopping_{false};
 
@@ -363,6 +383,9 @@ class UdpNode : public MailboxGroupHost {
   mutable util::Mutex mutex_;
   std::deque<std::function<void(Endpoint&, sim::Time)>> commands_
       GUARDED_BY(mutex_);
+  // Loop-thread-only: pump() swaps commands_ into this and runs it, so
+  // the two deques trade storage instead of allocating per call.
+  std::deque<std::function<void(Endpoint&, sim::Time)>> running_;
   bool stopping_ GUARDED_BY(mutex_) = false;
   bool attached_ GUARDED_BY(mutex_) = false;
 

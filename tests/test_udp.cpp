@@ -3,9 +3,13 @@
 // simulator suite owns protocol correctness, these own the socket host.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,6 +60,22 @@ bool wait_for(const std::function<bool()>& pred,
     std::this_thread::sleep_for(5ms);
   }
   return pred();
+}
+
+// Runs `fn` on a helper thread and aborts the binary if it has not
+// finished within `limit`: a hung teardown then fails at once with a
+// message naming the call, instead of stalling until the ctest timeout.
+void bounded(const std::string& what, std::chrono::milliseconds limit,
+             std::function<void()> fn) {
+  std::packaged_task<void()> task(std::move(fn));
+  std::future<void> done = task.get_future();
+  std::thread t(std::move(task));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "%s did not finish within %lld ms\n", what.c_str(),
+                 static_cast<long long>(limit.count()));
+    std::abort();
+  }
+  t.join();
 }
 
 TEST(UdpTransport, SocketBindsEphemeralPort) {
@@ -495,6 +515,196 @@ TEST(UdpTransport, ConcurrentStopIsSafe) {
     node->stop();  // still idempotent after the transport is down
   }
 }
+
+TEST(UdpTransport, DetachUnderLoadNeverStalls) {
+  // Regression: detach waited for the loop's in_dispatch_ flag to read
+  // false, but a busy loop clears it for only a few instructions before
+  // re-taking the lock, so the notified waiter could lose that race
+  // indefinitely and stop() hung. Here two nodes keep the shared loop
+  // busy while groups of nodes are repeatedly attached, given traffic and
+  // stopped; every stop must return within a bound.
+  auto transport = std::make_shared<UdpTransport>(0);
+  std::vector<std::unique_ptr<UdpNode>> load;
+  for (ProcessId id = 0; id < 2; ++id) {
+    load.push_back(std::make_unique<UdpNode>(id, transport, fast_cfg()));
+    load.back()->add_peer(1 - id, transport->port());
+  }
+  for (auto& n : load) n->start();
+  for (auto& n : load) n->create_group(1, {0, 1});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  std::atomic<bool> run{true};
+  std::thread sender([&] {
+    for (int i = 0; run.load(); ++i) {
+      load[static_cast<std::size_t>(i % 2)]->multicast(
+          1, bytes_of("load" + std::to_string(i)));
+      std::this_thread::sleep_for(200us);
+    }
+  });
+
+  constexpr int kRounds = 20;
+  constexpr ProcessId kPerRound = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    const ProcessId base = 100 + static_cast<ProcessId>(round) * kPerRound;
+    std::vector<ProcessId> members;
+    for (ProcessId k = 0; k < kPerRound; ++k) members.push_back(base + k);
+    std::vector<std::unique_ptr<UdpNode>> churn;
+    for (ProcessId id : members) {
+      churn.push_back(std::make_unique<UdpNode>(id, transport, fast_cfg()));
+      for (ProcessId peer : members) {
+        if (peer != id) churn.back()->add_peer(peer, transport->port());
+      }
+    }
+    for (auto& n : churn) n->start();
+    for (auto& n : churn) n->create_group(2, members);
+    for (auto& n : churn) n->multicast(2, bytes_of("churn"));
+    std::this_thread::sleep_for(5ms);
+    for (auto& n : churn) {
+      bounded("stop of a churn node", 5000ms, [&n] { n->stop(); });
+    }
+  }
+  run.store(false);
+  sender.join();
+  EXPECT_GT(load[1]->delivery_count(1), 0u);
+  for (auto& n : load) {
+    bounded("stop of a load node", 5000ms, [&n] { n->stop(); });
+  }
+}
+
+// The receive-path variants the packed-slab tests run under: burst
+// recvmmsg, the per-packet recvmsg fallback, and sharded receive.
+struct RxMode {
+  const char* name;
+  bool use_mmsg;
+  std::size_t rx_shards;
+};
+
+void PrintTo(const RxMode& mode, std::ostream* os) { *os << mode.name; }
+
+class PackedReceive : public ::testing::TestWithParam<RxMode> {
+ protected:
+  // One datagram per multicast (max_batch 1), so datagram counts track
+  // message counts.
+  static UdpNodeConfig config() {
+    UdpNodeConfig cfg = fast_cfg();
+    cfg.channel.max_batch = 1;
+    cfg.transport.use_mmsg = GetParam().use_mmsg;
+    cfg.transport.rx_shards = GetParam().rx_shards;
+    return cfg;
+  }
+
+  // Multicasts `count` distinct payloads (alternating senders, up to
+  // ~400 bytes, lengths varying so datagram offsets in a slab vary; a
+  // few thousand of them fill a slab) and waits until both nodes
+  // delivered them all. Returns the payloads sent.
+  static std::vector<std::string> send_and_wait(
+      std::vector<std::unique_ptr<UdpNode>>& nodes, int first, int count) {
+    std::vector<std::string> sent;
+    for (int i = first; i < first + count; ++i) {
+      std::string payload = std::to_string(i);
+      payload.append(static_cast<std::size_t>(i % 389), 'x');
+      sent.push_back(std::move(payload));
+      UdpNode& sender = *nodes[static_cast<std::size_t>(i % 2)];
+      sender.multicast(1, bytes_of(sent.back()));
+    }
+    const auto want = static_cast<std::size_t>(first + count);
+    EXPECT_TRUE(wait_for(
+        [&] {
+          return nodes[0]->delivery_count(1) >= want &&
+                 nodes[1]->delivery_count(1) >= want;
+        },
+        60s))
+        << "not all multicasts were delivered";
+    return sent;
+  }
+};
+
+TEST_P(PackedReceive, RetainedPayloadsSurviveLaterTrafficAndShareSlabs) {
+  // Received datagrams are packed into shared slabs: a kept payload must
+  // stay byte-identical while later datagrams are written into the rest
+  // of its slab, and the payloads must share a handful of slabs rather
+  // than holding one buffer per datagram.
+  auto nodes = make_mesh(2, config());
+  for (auto& node : nodes) node->create_group(1, {0, 1});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  constexpr int kKept = 2000;
+  const std::vector<std::string> sent = send_and_wait(nodes, 0, kKept);
+  // The delivery log's views keep every payload (and its slab) alive.
+  const std::vector<Delivery> kept = nodes[1]->deliveries();
+  ASSERT_EQ(kept.size(), static_cast<std::size_t>(kKept));
+  std::vector<std::string> snapshot;
+  for (const Delivery& d : kept) {
+    snapshot.emplace_back(d.payload.begin(), d.payload.end());
+  }
+  EXPECT_EQ(std::multiset<std::string>(snapshot.begin(), snapshot.end()),
+            std::multiset<std::string>(sent.begin(), sent.end()));
+
+  const std::uint64_t datagrams =
+      nodes[1]->transport()->io_stats().rx_datagrams;
+  send_and_wait(nodes, kKept, 1000);  // written into the same slabs
+  // Node 1's own multicasts are delivered from its send buffers; the
+  // peer's arrived over the socket and are slices of receive slabs.
+  std::set<const util::Bytes*> slabs;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(std::string(kept[i].payload.begin(), kept[i].payload.end()),
+              snapshot[i])
+        << "payload " << i << " changed under later traffic";
+    if (kept[i].sender == 0) slabs.insert(kept[i].payload.buffer().get());
+  }
+  EXPECT_GE(datagrams, static_cast<std::uint64_t>(kKept / 2));
+  EXPECT_LT(slabs.size() * 10, datagrams)
+      << slabs.size() << " backing buffers for " << datagrams << " datagrams";
+  EXPECT_EQ(nodes[1]->transport()->io_stats().rx_copies, 0u);
+  for (auto& node : nodes) node->stop();
+}
+
+TEST_P(PackedReceive, LargeDatagramAfterManySmallIsNotTruncated) {
+  // A slot moves to a fresh slab before its tail gets shorter than a
+  // full receive window, so a near-maximum datagram arriving after
+  // thousands of small ones (slots well into, or past, their slabs) is
+  // never cut short. A small burst makes each slot fill and rotate.
+  UdpNodeConfig cfg = config();
+  cfg.transport.burst = 2;
+  auto nodes = make_mesh(2, cfg);
+  for (auto& node : nodes) node->create_group(1, {0, 1});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  constexpr int kSmall = 4000;
+  send_and_wait(nodes, 0, kSmall);
+  // Node 0's datagrams are one flow, so one receive context (the loop's
+  // or one shard's) took them all, into at most this many slots.
+  const std::size_t slots =
+      nodes[1]->transport()->mmsg_enabled() ? cfg.transport.burst : 1;
+  std::set<const util::Bytes*> slabs;
+  for (const Delivery& d : nodes[1]->deliveries()) {
+    if (d.sender == 0) slabs.insert(d.payload.buffer().get());
+  }
+  EXPECT_GT(slabs.size(), slots) << "no receive slot moved to a fresh slab";
+
+  util::Bytes big(60000);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  nodes[0]->multicast(1, big);
+  ASSERT_TRUE(wait_for(
+      [&] {
+        return nodes[0]->delivery_count(1) > kSmall &&
+               nodes[1]->delivery_count(1) > kSmall;
+      },
+      20s))
+      << "large multicast was not delivered";
+  for (auto& node : nodes) {
+    EXPECT_EQ(node->deliveries().back().payload, big) << "node " << node->id();
+    EXPECT_EQ(node->transport()->io_stats().rx_truncated, 0u);
+  }
+  for (auto& node : nodes) node->stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RxModes, PackedReceive,
+    ::testing::Values(RxMode{"mmsg", true, 0}, RxMode{"recvmsg", false, 0},
+                      RxMode{"shards2", true, 2}),
+    [](const ::testing::TestParamInfo<RxMode>& mode) {
+      return std::string(mode.param.name);
+    });
 
 TEST(UdpTransport, DynamicFormationOverLoopback) {
   auto nodes = make_mesh(3);
