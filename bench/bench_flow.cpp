@@ -76,18 +76,20 @@ BENCHMARK(BM_FlowWindowThroughputCost)->Arg(8)->Arg(32)->Arg(128)->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
 // Adaptive transport timing under jitter: a bimodal 1ms/40ms path (30%
-// slow) against the static 20ms RTO, which sits exactly between the two
-// modes — every slow round trip beats the timer and triggers a spurious
-// retransmission. The per-peer estimator must widen past the slow mode
-// and repair measurably less; CI gates the adaptive variant's
-// retransmits_per_msg through bench/baselines.json.
+// slow). The control pins the estimator at 20ms (rto_min = rto_max =
+// rto), which sits exactly between the two modes — every slow round
+// trip beats the timer and triggers a spurious retransmission. The free
+// estimator must widen past the slow mode and repair measurably less;
+// CI gates the adaptive variant's retransmits_per_msg through
+// bench/baselines.json.
 void run_jitter_flood(bool adaptive, double& retransmits_per_msg,
                       double& srtt_ms, double& spurious,
                       std::uint64_t seed) {
   WorldConfig cfg = default_world(3, seed);
   cfg.network.latency =
       sim::LatencyModel::bimodal(1 * kMillisecond, 40 * kMillisecond, 0.3);
-  cfg.host.channel.adaptive_rto = adaptive;
+  auto& ch = cfg.host.channel;
+  if (!adaptive) ch.rto_min = ch.rto_max = ch.rto;
   SimWorld w(cfg);
   w.create_group(1, all_members(3));
   w.run_for(200 * kMillisecond);
@@ -141,7 +143,7 @@ void BM_FlowJitterRetransmits(benchmark::State& state) {
   state.counters["srtt_ms"] = srtt_ms;
   state.counters["spurious_rexmit"] = spurious;
   emit_bench_json(
-      std::string("flow_jitter/") + (adaptive ? "adaptive" : "static"),
+      std::string("flow_jitter/") + (adaptive ? "adaptive" : "pinned20ms"),
       {{"retransmits_per_msg", retransmits_per_msg},
        {"srtt_ms", srtt_ms},
        {"spurious_rexmit", spurious}});

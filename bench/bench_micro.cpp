@@ -26,7 +26,9 @@ void BM_MicroNewtopReceive(benchmark::State& state) {
   EndpointHooks hooks;
   hooks.send = [](ProcessId, util::SharedBytes) {};
   std::uint64_t delivered = 0;
-  hooks.deliver = [&delivered](const Delivery&) { ++delivered; };
+  hooks.on_event = [&delivered](const Event& ev) {
+    if (std::holds_alternative<DeliveryEvent>(ev)) ++delivered;
+  };
   Config cfg;
   Endpoint receiver(0, cfg, std::move(hooks));
   std::vector<ProcessId> members;

@@ -24,15 +24,13 @@ struct PartitionRun {
 // Splits [0, n) into [0, k) and [k, n); measures stabilisation time
 // (both sides' views == exactly their own side) and the byte overhead the
 // partition causes (datagrams sent into the cut, counted by
-// NetworkStats::bytes_sent - bytes_delivered). Runs with adaptive
-// transport timing: a partition is where the RTO machinery earns its
-// keep (backoff during the cut, estimator-driven re-seeding after), and
-// the spurious_rexmit counter surfaces retransmissions the adaptive
-// timer still wasted.
+// NetworkStats::bytes_sent - bytes_delivered). A partition is where the
+// adaptive RTO machinery earns its keep (backoff during the cut,
+// estimator-driven re-seeding after), and the spurious_rexmit counter
+// surfaces retransmissions the adaptive timer still wasted.
 PartitionRun partition_stabilise(std::size_t n, std::size_t k,
                                  std::uint64_t seed) {
   WorldConfig wcfg = default_world(n, seed);
-  wcfg.host.channel.adaptive_rto = true;
   SimWorld w(wcfg);
   const auto members = all_members(n);
   w.create_group(1, members);

@@ -22,8 +22,8 @@ using sim::kSecond;
 
 namespace {
 
-// One std::visit over the Event variant replaces the four legacy
-// callbacks — exhaustive by construction, so a new event kind is a
+// One std::visit over the Event variant handles every engine output —
+// exhaustive by construction, so a new event kind is a
 // compile error here, not a silently missed signal.
 void print_event(ProcessId p, const Event& ev) {
   struct Printer {

@@ -73,10 +73,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Real networks have real (and varying) RTTs: let the transport learn
-  // each peer's instead of retransmitting on a 20ms constant
-  // (docs/TRANSPORT.md).
-  cfg.channel.adaptive_rto = true;
   // The typed event stream works identically over sockets: count
   // formation outcomes as they happen instead of polling.
   std::atomic<int> formations{0};

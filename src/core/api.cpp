@@ -1,4 +1,4 @@
-// Unified API: the legacy-hooks adapter and the GroupHandle facade.
+// Unified API: SendResult names and the GroupHandle facade.
 #include "core/api.h"
 
 #include "core/endpoint.h"
@@ -13,20 +13,6 @@ const char* to_string(SendResult r) {
     case SendResult::kBackpressure: return "backpressure";
   }
   return "?";
-}
-
-void emit_to_legacy_hooks(const EndpointHooks& hooks, const Event& ev) {
-  if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
-    if (hooks.deliver) hooks.deliver(d->delivery);
-  } else if (const auto* v = std::get_if<ViewChangeEvent>(&ev)) {
-    if (hooks.view_change) hooks.view_change(v->group, v->view);
-  } else if (const auto* f = std::get_if<FormationEvent>(&ev)) {
-    if (hooks.formation_result) hooks.formation_result(f->group, f->outcome);
-  }
-  // SendWindowEvent / RetentionPressureEvent / StateTransferEvent /
-  // MemberJoinedEvent have no legacy field: a legacy-hooks application
-  // never asked for backpressure or state-transfer signals, and a join
-  // reaches it through the accompanying ViewChangeEvent.
 }
 
 SendResult GroupHandle::multicast(util::Bytes payload) {

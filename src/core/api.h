@@ -11,9 +11,8 @@
 // Versioning: Event is a closed variant; adding an event kind is a new
 // alternative (call sites using std::visit with exhaustive overloads get
 // a compile error, std::get_if consumers ignore it silently — both are
-// deliberate migration modes). The legacy per-field EndpointHooks keep
-// working through emit_to_legacy_hooks; new code should install a single
-// EndpointHooks::on_event sink instead.
+// deliberate migration modes). Hosts install it as the single
+// EndpointHooks::on_event sink.
 #pragma once
 
 #include <cstddef>
@@ -27,12 +26,10 @@
 
 namespace newtop {
 
-struct EndpointHooks;  // engine host contract (core/endpoint.h)
-
 // A message handed to the application. With the default
 // DeliveryMode::kZeroCopySlice, `payload` is an owned slice of the
 // arrival datagram's single allocation (or of the sender's own encoding
-// for self-delivery); under kCopyOut / kPooledCopy it is an independent
+// for self-delivery); under kPooledCopy it is an independent
 // right-sized copy, so keeping it does not pin the arrival buffer.
 struct Delivery {
   GroupId group = 0;
@@ -53,7 +50,7 @@ enum class FormationOutcome : std::uint8_t {
 // queue. `used` is the bytes the slices actually reference; `pinned` is
 // the total size of the distinct backing allocations those slices keep
 // alive. pinned >> used is the memory-bloat signature retention
-// compaction (and the copy-out delivery modes) exist to fix.
+// compaction (and the kPooledCopy delivery mode) exist to fix.
 struct RetentionStats {
   std::size_t retained_msgs = 0;  // recovery retention entries
   std::size_t held_msgs = 0;      // suspicion-held messages
@@ -140,8 +137,8 @@ struct SendWindowEvent {
 // The engine's retained bytes for a group crossed
 // Config::retention_pressure_bytes (edge-triggered; re-armed once the
 // footprint falls back under the threshold). A latency-insensitive
-// consumer reacting to this can switch the group to a copy-out delivery
-// mode, drop its own payload references, or simply observe the bloat.
+// consumer reacting to this can switch the group to kPooledCopy
+// delivery, drop its own payload references, or simply observe the bloat.
 struct RetentionPressureEvent {
   GroupId group = 0;
   RetentionStats stats;
@@ -188,12 +185,6 @@ using Event = std::variant<DeliveryEvent, ViewChangeEvent, FormationEvent,
 // after recording). Called synchronously from the engine; may re-enter
 // the endpoint's application API.
 using EventSink = std::function<void(const Event&)>;
-
-// Adapter keeping the legacy per-field hooks working: routes an Event to
-// the matching EndpointHooks field (deliver / view_change /
-// formation_result) when that field is set. Event kinds with no legacy
-// field (send window, retention pressure) are dropped.
-void emit_to_legacy_hooks(const EndpointHooks& hooks, const Event& ev);
 
 // ---------------------------------------------------------------------
 // Group handles

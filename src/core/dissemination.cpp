@@ -9,6 +9,12 @@ DisseminationPlan DisseminationPlan::build(const GroupOptions& opts,
   DisseminationPlan plan;
   plan.strategy = opts.dissemination;
   plan.arity = std::max<std::uint32_t>(opts.relay_arity, 1);
+  // A ring is a tree of arity 1: the origin's successor chain, walking
+  // past suspected hops exactly as a tree adopts a suspected child.
+  if (plan.strategy == DisseminationStrategy::kRing) {
+    plan.strategy = DisseminationStrategy::kTree;
+    plan.arity = 1;
+  }
   plan.members = view.members;
   // An overlay cannot beat one direct send in a pair; and a degenerate
   // single-member group has nobody to transmit to at all.
@@ -34,35 +40,9 @@ DisseminationPlan::Hops DisseminationPlan::next_hops(
           if (p != self) hops.direct.push_back(p);
       }
       return hops;
-    case DisseminationStrategy::kRing:
-      return ring_hops(self, origin, suspected);
+    case DisseminationStrategy::kRing:  // build() maps it to tree(1)
     case DisseminationStrategy::kTree:
       return tree_hops(self, origin, suspected);
-  }
-  return hops;
-}
-
-DisseminationPlan::Hops DisseminationPlan::ring_hops(
-    ProcessId self, ProcessId origin,
-    const std::function<bool(ProcessId)>& suspected) const {
-  // Cyclic successor order over the sorted view. Each hop forwards to
-  // its first live successor; the walk stops when it would reach the
-  // origin again (ring closed). Suspected successors that the walk
-  // skips still receive the message directly — they have just lost
-  // their forwarding duty until the next view repairs the ring.
-  Hops hops;
-  const std::size_t n = members.size();
-  const std::size_t i = rank_of(self);
-  if (n < 2 || i == n || rank_of(origin) == n) return hops;
-  for (std::size_t step = 1; step < n; ++step) {
-    const ProcessId c = members[(i + step) % n];
-    if (c == origin) break;
-    if (suspected(c)) {
-      hops.direct.push_back(c);
-      continue;
-    }
-    hops.relay.push_back(c);
-    break;
   }
   return hops;
 }

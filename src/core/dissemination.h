@@ -50,7 +50,8 @@ struct DisseminationPlan {
   std::vector<ProcessId> members;  // the agreed view, sorted ascending
 
   // Deterministic plan for `view` under `opts`. Groups of <= 2 members
-  // always get kFullMesh: an overlay cannot beat one direct send.
+  // always get kFullMesh: an overlay cannot beat one direct send. kRing
+  // builds as kTree with arity 1 (the successor chain).
   static DisseminationPlan build(const GroupOptions& opts, const View& view);
 
   // True when multicasts in this group travel wrapped in RelayFrames.
@@ -62,15 +63,13 @@ struct DisseminationPlan {
   // self == origin is the initial fan-out, otherwise the relay forward.
   // `suspected` routes around failed hops: a suspected relay is moved to
   // the `direct` set (it still receives, it no longer forwards) and its
-  // overlay duties are taken over locally — the ring walks past it to
-  // the next live successor, the tree adopts its children.
+  // overlay duties are taken over locally: the tree adopts its children
+  // (for a ring, the next live successor).
   Hops next_hops(ProcessId self, ProcessId origin,
                  const std::function<bool(ProcessId)>& suspected) const;
 
  private:
   std::size_t rank_of(ProcessId p) const;  // members.size() if absent
-  Hops ring_hops(ProcessId self, ProcessId origin,
-                 const std::function<bool(ProcessId)>& suspected) const;
   Hops tree_hops(ProcessId self, ProcessId origin,
                  const std::function<bool(ProcessId)>& suspected) const;
 };

@@ -27,8 +27,7 @@ std::vector<ProcessId> sorted_unique(std::vector<ProcessId> v) {
 Endpoint::Endpoint(ProcessId self, Config config, EndpointHooks hooks)
     : self_(self), cfg_(config), hooks_(std::move(hooks)) {
   NEWTOP_CHECK(hooks_.send != nullptr);
-  NEWTOP_CHECK_MSG(hooks_.on_event != nullptr || hooks_.deliver != nullptr,
-                   "need an event sink or a legacy deliver hook");
+  NEWTOP_CHECK_MSG(hooks_.on_event != nullptr, "need an event sink");
   NEWTOP_CHECK_MSG(cfg_.omega_big > cfg_.omega, "need Omega > omega (§5.2)");
 }
 
@@ -811,7 +810,7 @@ void Endpoint::process_ordered(ProcessId link_from, const OrderedMsg& incoming,
                              incoming.payload.size() < pbuf->size();
     if (!foreign && !split_slice) return incoming;
     detached = incoming;
-    detach_arrival(*gs, detached, /*copy_raw=*/foreign);
+    detach_arrival(detached, /*copy_raw=*/foreign);
     return detached;
   }();
 
@@ -923,8 +922,7 @@ void Endpoint::deliver_app(const GroupState& gs, const OrderedMsg& msg) {
 // ---------------------------------------------------------------------
 
 void Endpoint::emit_event(const Event& ev) {
-  if (hooks_.on_event) hooks_.on_event(ev);
-  emit_to_legacy_hooks(hooks_, ev);
+  hooks_.on_event(ev);
 }
 
 void Endpoint::check_retention_pressure(GroupState& gs) {
@@ -941,17 +939,14 @@ void Endpoint::check_retention_pressure(GroupState& gs) {
   }
 }
 
-void Endpoint::detach_arrival(const GroupState& gs, OrderedMsg& m,
-                              bool copy_raw) {
-  const bool pooled = gs.opts.delivery == DeliveryMode::kPooledCopy;
+void Endpoint::detach_arrival(OrderedMsg& m, bool copy_raw) {
+  // Drawn from the host pool when one is installed, plain heap copies
+  // otherwise.
   auto copy = [&](const util::BytesView& v) -> util::BytesView {
     ++stats_.arrival_detach_copies;
-    if (pooled) {
-      util::Bytes b = obtain_buffer(v.size());
-      b.assign(v.begin(), v.end());
-      return util::BytesView(share_buffer(std::move(b)));
-    }
-    return util::BytesView::copy_of(v.span());
+    util::Bytes b = obtain_buffer(v.size());
+    b.assign(v.begin(), v.end());
+    return util::BytesView(share_buffer(std::move(b)));
   };
   // payload is (normally) a sub-slice of raw; preserve the sharing so the
   // detached message still pins exactly one right-sized buffer.

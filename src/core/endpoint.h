@@ -48,11 +48,8 @@ using sim::Time;
 // fans out to every peer, and the transport may retain the reference for
 // retransmission. Callbacks may re-enter the endpoint's API.
 //
-// Engine outputs flow as a typed Event stream (core/api.h). New code
-// installs `on_event`; the legacy per-field callbacks below keep working
-// through the emit_to_legacy_hooks adapter (every event is offered to
-// both, so a host may set either or mix them during migration). At least
-// one of `on_event` / `deliver` must be set.
+// Engine outputs flow as a typed Event stream (core/api.h) through
+// `on_event`, which must be set.
 struct EndpointHooks {
   std::function<void(ProcessId to, util::SharedBytes data)> send;
   // Optional relay re-send path (ring/tree dissemination,
@@ -65,10 +62,6 @@ struct EndpointHooks {
   // The unified event sink: deliveries, view changes, formation
   // outcomes, send-window reopenings and retention-pressure signals.
   EventSink on_event;
-  // Legacy per-field hooks (adapter-fed; see above).
-  std::function<void(const Delivery&)> deliver;
-  std::function<void(GroupId, const View&)> view_change;
-  std::function<void(GroupId, FormationOutcome)> formation_result;
   // Vote on an invitation to form a group (§5.3 step 2). Default: yes.
   std::function<bool(const FormInviteMsg&)> accept_invite;
   // Optional host-provided buffer pool. Retention compaction and the
@@ -100,7 +93,7 @@ class Endpoint : private PlaneHost {
                     GroupOptions options, Time now);
 
   // Dynamic group formation (§5.3): runs the two-phase invite and the
-  // start-group agreement; outcome reported via hooks.formation_result.
+  // start-group agreement; outcome reported as a FormationEvent.
   void initiate_group(GroupId g, std::vector<ProcessId> members,
                       GroupOptions options, Time now);
 
@@ -367,19 +360,20 @@ class Endpoint : private PlaneHost {
   void advance_stability(GroupState& gs);
 
   // ---- Unified event stream (core/api.h) ------------------------------
-  // Every engine output funnels through here: the on_event sink first,
-  // then the legacy per-field adapter. The sink may re-enter the API.
+  // Every engine output funnels through here into the on_event sink.
+  // The sink may re-enter the API.
   void emit_event(const Event& ev);
   // Emits the owed SendWindowEvent for every group whose window
   // transitioned closed -> open (end of pump_sends).
   void notify_send_windows();
   // Edge-triggered retention-pressure check (per tick, post-compaction).
   void check_retention_pressure(GroupState& gs);
-  // Copy-out delivery modes: re-backs an accepted message with
-  // right-sized (pooled for kPooledCopy) buffers so the arrival datagram
-  // is released when its handling returns. copy_raw is false for
-  // self-emitted messages, whose raw encoding the transport pins anyway.
-  void detach_arrival(const GroupState& gs, OrderedMsg& m, bool copy_raw);
+  // kPooledCopy delivery: re-backs an accepted message with right-sized
+  // buffers (from the host pool when one is installed, plain copies
+  // otherwise) so the arrival datagram is released when its handling
+  // returns. copy_raw is false for self-emitted messages, whose raw
+  // encoding the transport pins anyway.
+  void detach_arrival(OrderedMsg& m, bool copy_raw);
 
   // ---- Retention compaction (tentpole: bound pinned bytes) ------------
   bool should_compact(const util::BytesView& v, long own_refs) const;

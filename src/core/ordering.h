@@ -59,7 +59,7 @@ struct EndpointStats {
   std::uint64_t retention_compactions = 0;
   // Unified-API counters: backpressure rejections
   // (Config::max_pending_sends), window-reopen events, retention-pressure
-  // events and arrival-detach copies made by the copy-out delivery modes.
+  // events and arrival-detach copies made by kPooledCopy delivery.
   std::uint64_t sends_rejected = 0;
   std::uint64_t send_window_events = 0;
   std::uint64_t retention_pressure_events = 0;

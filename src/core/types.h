@@ -43,13 +43,14 @@ enum class Guarantee : std::uint8_t {
 // of the arrival datagram's single allocation — free at receive time, but
 // a liability for latency-insensitive consumers that keep payloads for a
 // long time: one small retained slice pins its whole (possibly multi-KB)
-// BatchFrame. The copy-out modes detach accepted messages from the
-// arrival buffer at receive time, so the datagram is released the moment
-// its handling returns.
+// BatchFrame. kPooledCopy detaches accepted messages from the arrival
+// buffer at receive time, so the datagram is released the moment its
+// handling returns.
 enum class DeliveryMode : std::uint8_t {
   kZeroCopySlice = 0,  // slices of the arrival buffer (lowest latency)
-  kCopyOut = 1,        // plain right-sized heap copies
-  kPooledCopy = 2,     // right-sized copies drawn from the host BufferPool
+  // Right-sized copies, drawn from the host BufferPool when one is
+  // installed (EndpointHooks::buffer_pool), plain heap copies otherwise.
+  kPooledCopy = 1,
 };
 
 // Dissemination overlay for a group's ordered-plane multicasts
@@ -62,7 +63,7 @@ enum class DeliveryMode : std::uint8_t {
 // carried in formation invites.
 enum class DisseminationStrategy : std::uint8_t {
   kFullMesh = 0,  // §4's direct per-member sends (the default)
-  kRing = 1,      // cyclic successor forwarding, O(1) sends per hop
+  kRing = 1,      // cyclic successor forwarding: a tree of arity 1
   kTree = 2,      // origin-rooted k-ary tree, O(arity) sends per hop
 };
 

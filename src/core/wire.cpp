@@ -408,48 +408,41 @@ std::optional<BatchFrame> BatchFrame::decode(util::BytesView data) {
 
 namespace {
 
-// Timing-extension flag byte layout (shared by both channel frames).
-// Unknown bits are ignored on decode; future extensions must not add
-// data the current fields cannot skip, so new variable-length fields
-// need a fresh flag bit here.
+// Flag byte layout (shared by both channel frames). A data frame always
+// sets kTxStampPresent; an ack never does.
 constexpr std::uint8_t kTxStampPresent = 0x01;
 constexpr std::uint8_t kTxStampRexmit = 0x02;
 constexpr std::uint8_t kEchoPresent = 0x04;
 constexpr std::uint8_t kEchoRexmit = 0x08;
+constexpr std::uint8_t kEchoFlags = kEchoPresent | kEchoRexmit;
 
-void write_timing(util::Writer& w, const std::optional<TimingStamp>& stamp,
-                  const std::optional<TimingStamp>& echo) {
-  std::uint8_t flags = 0;
-  if (stamp) flags |= kTxStampPresent | (stamp->rexmit ? kTxStampRexmit : 0);
-  if (echo) flags |= kEchoPresent | (echo->rexmit ? kEchoRexmit : 0);
-  w.u8(flags);
-  if (stamp) w.varint(stamp->ts);
-  if (echo) w.varint(echo->ts);
+constexpr std::uint8_t kind_byte(ChannelPacketKind k) {
+  return static_cast<std::uint8_t>(k) | kChannelTimingFlag;
 }
 
-void read_timing(util::Reader& r, std::optional<TimingStamp>& stamp,
-                 std::optional<TimingStamp>& echo) {
-  const std::uint8_t flags = r.u8();
-  if (flags & kTxStampPresent) {
-    stamp = TimingStamp{r.varint(), (flags & kTxStampRexmit) != 0};
-  }
-  if (flags & kEchoPresent) {
+std::uint8_t echo_flags(const std::optional<TimingStamp>& echo) {
+  if (!echo) return 0;
+  return kEchoPresent | (echo->rexmit ? kEchoRexmit : 0);
+}
+
+// Reads the echo announced by `flags` (if any) into `echo`.
+void read_echo(util::Reader& r, std::uint8_t flags,
+               std::optional<TimingStamp>& echo) {
+  if (flags & kEchoPresent)
     echo = TimingStamp{r.varint(), (flags & kEchoRexmit) != 0};
-  }
 }
 
 }  // namespace
 
 util::Bytes ChannelDataFrame::encode(util::Bytes reuse) const {
   util::Writer w(std::move(reuse));
-  const bool timed = timing.has_value() || echo.has_value();
-  // Without the timing extension the encoding is byte-for-byte the
-  // pre-extension format (kind, seq, cum_ack, payload).
-  w.u8(static_cast<std::uint8_t>(ChannelPacketKind::kData) |
-       (timed ? kChannelTimingFlag : 0));
+  w.u8(kind_byte(ChannelPacketKind::kData));
   w.varint(seq);
   w.varint(cum_ack);
-  if (timed) write_timing(w, timing, echo);
+  w.u8(kTxStampPresent | (timing.rexmit ? kTxStampRexmit : 0) |
+       echo_flags(echo));
+  w.varint(timing.ts);
+  if (echo) w.varint(echo->ts);
   w.bytes(payload.span());
   return std::move(w).take();
 }
@@ -457,14 +450,16 @@ util::Bytes ChannelDataFrame::encode(util::Bytes reuse) const {
 std::optional<ChannelDataFrame> ChannelDataFrame::decode(
     util::BytesView data) {
   util::Reader r(data);
-  const std::uint8_t kind = r.u8();
-  if ((kind & ~kChannelTimingFlag) !=
-      static_cast<std::uint8_t>(ChannelPacketKind::kData))
-    return std::nullopt;
+  if (r.u8() != kind_byte(ChannelPacketKind::kData)) return std::nullopt;
   ChannelDataFrame f;
   f.seq = r.varint();
   f.cum_ack = r.varint();
-  if (kind & kChannelTimingFlag) read_timing(r, f.timing, f.echo);
+  const std::uint8_t flags = r.u8();
+  if (!(flags & kTxStampPresent) ||
+      (flags & ~(kTxStampPresent | kTxStampRexmit | kEchoFlags)) != 0)
+    return std::nullopt;
+  f.timing = TimingStamp{r.varint(), (flags & kTxStampRexmit) != 0};
+  read_echo(r, flags, f.echo);
   f.payload = r.bytes_view();
   if (!r.ok()) return std::nullopt;
   return f;
@@ -472,30 +467,21 @@ std::optional<ChannelDataFrame> ChannelDataFrame::decode(
 
 util::Bytes ChannelAckFrame::encode(util::Bytes reuse) const {
   util::Writer w(std::move(reuse));
-  w.u8(static_cast<std::uint8_t>(ChannelPacketKind::kAck) |
-       (echo ? kChannelTimingFlag : 0));
+  w.u8(kind_byte(ChannelPacketKind::kAck));
   w.varint(cum_ack);
-  if (echo) {
-    std::optional<TimingStamp> no_stamp;
-    write_timing(w, no_stamp, echo);
-  }
+  w.u8(echo_flags(echo));
+  if (echo) w.varint(echo->ts);
   return std::move(w).take();
 }
 
 std::optional<ChannelAckFrame> ChannelAckFrame::decode(util::BytesView data) {
   util::Reader r(data);
-  const std::uint8_t kind = r.u8();
-  if ((kind & ~kChannelTimingFlag) !=
-      static_cast<std::uint8_t>(ChannelPacketKind::kAck))
-    return std::nullopt;
+  if (r.u8() != kind_byte(ChannelPacketKind::kAck)) return std::nullopt;
   ChannelAckFrame f;
-  if (kind & kChannelTimingFlag) {
-    std::optional<TimingStamp> stamp;
-    f.cum_ack = r.varint();
-    read_timing(r, stamp, f.echo);
-  } else {
-    f.cum_ack = r.varint();
-  }
+  f.cum_ack = r.varint();
+  const std::uint8_t flags = r.u8();
+  if ((flags & ~kEchoFlags) != 0) return std::nullopt;
+  read_echo(r, flags, f.echo);
   if (!r.ok()) return std::nullopt;
   return f;
 }

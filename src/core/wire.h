@@ -317,22 +317,24 @@ struct BatchFrame {
 // reliable FIFO channel, one layer *below* the protocol messages above;
 // a kData payload is an OrderedMsg/BatchFrame/... encoding).
 //
-// Both frames carry an optional timing extension, signalled by a flag
-// bit in the kind byte: the sender stamps each data packet with its
-// transmit time (and whether this transmission is a retransmission),
-// and the receiver echoes the stamp of received data back in its
-// cumulative acks, giving the sender per-peer RTT samples for the
-// adaptive RTO/ack-delay machinery in transport/fifo_channel.h.
-// Decoding is version-tolerant in both directions: an untimed frame
-// (the pre-extension format, still emitted when adaptive_rto is off) and
-// a timed one are both accepted, and unknown extension-flag bits are
-// ignored, so mixed-version peers interoperate (a peer that never
-// echoes simply yields no samples).
+// Both frames carry timing fields: the sender stamps every data packet
+// with its transmit time (and whether this transmission is a
+// retransmission), and the receiver echoes the stamp of received data
+// back in its cumulative acks, giving the sender per-peer RTT samples
+// for the RTO/ack-delay estimator in transport/fifo_channel.h.
+//
+//   data: [kind|0x80] seq cum_ack flags tx_ts [echo_ts] payload
+//   ack:  [kind|0x80] cum_ack flags [echo_ts]
+//
+// `flags` says whether the tx stamp is a retransmission and whether an
+// echo is present. Decoding is strict: a kind byte without the 0x80 bit
+// (the retired untimed layout), a data frame without its tx stamp, an
+// ack carrying one, unknown flag bits and truncation are all rejected.
 // ---------------------------------------------------------------------
 
 enum class ChannelPacketKind : std::uint8_t { kData = 0, kAck = 1 };
 
-// Kind-byte flag: the frame carries the timing extension.
+// High bit of every channel frame's kind byte (kind = byte & ~this).
 inline constexpr std::uint8_t kChannelTimingFlag = 0x80;
 
 // A transmit-time stamp: `ts` is an opaque tick value in the *sender's*
@@ -350,7 +352,7 @@ struct TimingStamp {
 struct ChannelDataFrame {
   std::uint64_t seq = 0;
   std::uint64_t cum_ack = 0;              // piggybacked reverse-path ack
-  std::optional<TimingStamp> timing;      // tx stamp of this packet
+  TimingStamp timing;                     // tx stamp of this packet
   std::optional<TimingStamp> echo;        // echo of the peer's data stamp
   util::BytesView payload;
 

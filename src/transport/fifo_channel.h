@@ -31,36 +31,31 @@ namespace newtop::transport {
 using sim::Duration;
 using sim::Time;
 
+// Transport timing is adaptive (see docs/TRANSPORT.md): every data
+// packet is stamped with its transmit time, acks echo the stamp, and a
+// per-peer Jacobson/Karn estimator turns the echoes into SRTT/RTTVAR.
+// Packets start from rto = srtt + 4*rttvar clamped to [rto_min, rto_max],
+// and the delayed-ack window follows clamp(srtt/4, ack_delay_min,
+// ack_delay_max). `rto` and `ack_delay` apply only until a channel's
+// first RTT sample arrives.
 struct ChannelConfig {
   std::size_t window = 64;           // max in-flight unacked packets
-  Duration rto = 20 * sim::kMillisecond;  // retransmission timeout
+  Duration rto = 20 * sim::kMillisecond;  // timeout before the first sample
   // Per-packet RTO backoff: each retransmission of a packet multiplies
   // its timeout by this factor (capped at rto_max), so a congested or
   // partitioned path sees geometrically fewer retransmissions instead of
-  // a full-window burst every rto. 1.0 restores the flat-RTO behaviour.
+  // a full-window burst every rto. 1.0 keeps each packet's timeout flat.
   double rto_backoff = 2.0;
   Duration rto_max = 8 * 20 * sim::kMillisecond;
-  // Adaptive transport timing (see docs/TRANSPORT.md). When on, every
-  // data packet is stamped with its transmit time, acks echo the stamp,
-  // and a per-peer Jacobson/Karn estimator turns the echoes into
-  // SRTT/RTTVAR; new packets start from rto = srtt + 4*rttvar (clamped
-  // to [rto_min, rto_max]) instead of the flat `rto` above, and the
-  // delayed-ack window follows srtt/4. When off (the default), the wire
-  // format and retransmission schedule are byte-for-byte the static
-  // behaviour. Mixed deployments interoperate: timed and untimed frames
-  // decode either way; a peer that never echoes just yields no samples,
-  // leaving the static rto in charge.
-  bool adaptive_rto = false;
   Duration rto_min = 5 * sim::kMillisecond;
   // Delayed cumulative acks: an ack owed to a peer may wait this long
   // for an outgoing data packet to piggyback it, or for more data to
   // arrive and share one cumulative ack (a burst of n datagrams then
   // costs one kAck, not n). Must stay well below rto or the sender
   // retransmits spuriously. 0 acks at the next flush/tick boundary.
-  // Under adaptive_rto this is only the fallback until the estimator
-  // has a sample; from then on the window is clamp(srtt/4,
-  // ack_delay_min, ack_delay_max) — fast paths ack sooner, slow paths
-  // stop provoking spurious retransmissions.
+  // This is the window until the estimator has a sample; from then on
+  // it is clamp(srtt/4, ack_delay_min, ack_delay_max) — fast paths ack
+  // sooner, slow paths stop provoking spurious retransmissions.
   Duration ack_delay = 3 * sim::kMillisecond;
   Duration ack_delay_min = 500 * sim::kMicrosecond;
   Duration ack_delay_max = 20 * sim::kMillisecond;
@@ -89,7 +84,7 @@ struct ChannelStats {
   // datagram/syscall gates can tell overlay forwarding from own load.
   std::uint64_t relayed_payloads = 0;
   std::uint64_t relayed_bytes = 0;
-  // Adaptive-timing telemetry (all zero while adaptive_rto is off).
+  // Timing-estimator telemetry.
   std::uint64_t rtt_samples = 0;           // Karn-valid echoes consumed
   std::uint64_t karn_skipped = 0;          // echoes discarded (rexmit)
   // An ack released a packet sooner after its latest retransmission than
@@ -151,7 +146,7 @@ class RttEstimator {
   Duration rttvar() const { return rttvar_; }
   Duration min_rtt() const { return min_rtt_; }
 
-  // The current retransmission timeout: static until the first sample,
+  // The current retransmission timeout: rto_initial until the first sample,
   // then srtt + 4*rttvar clamped to [rto_min, rto_max].
   Duration rto() const {
     if (!valid_) return rto_initial_;
@@ -169,9 +164,9 @@ class RttEstimator {
 };
 
 // The cumulative-ack content a sender piggybacks on outgoing packets:
-// the ack number plus (adaptive timing only) the receiver half's latched
-// timestamp echo. Implicitly constructible from a bare ack number so
-// timing-oblivious callers and tests can keep passing integers.
+// the ack number plus the receiver half's latched timestamp echo (none
+// until data has arrived). Implicitly constructible from a bare ack
+// number so tests can pass integers.
 struct AckInfo {
   std::uint64_t cum = 0;
   std::optional<TimingStamp> echo;
@@ -182,10 +177,9 @@ struct AckInfo {
 };
 
 // Sender half: assigns sequence numbers, enforces the window, retransmits.
-// Under adaptive timing it also owns the per-peer RTT estimator: acks
-// carrying a timestamp echo feed it (Karn's rule discards echoes of
-// retransmitted packets) and every new transmission starts from the
-// estimated RTO instead of the static one.
+// It also owns the per-peer RTT estimator: acks carrying a timestamp
+// echo feed it (Karn's rule discards echoes of retransmitted packets) and
+// every new transmission starts from the estimated RTO.
 class ChannelSender {
  public:
   explicit ChannelSender(ChannelConfig config)
@@ -211,15 +205,15 @@ class ChannelSender {
   }
 
   // Processes a cumulative ack: everything with seq <= cum_ack is done.
-  // `echo` is the peer's timestamp echo (adaptive timing); a fresh
-  // (non-retransmitted) echo becomes an RTT sample and re-seeds the
-  // timeout of any backed-off in-flight packet from the new estimate, so
-  // a path that recovers from loss sheds its inflated timeouts at the
-  // first live round trip instead of waiting the packets out.
+  // `echo` is the peer's timestamp echo; a fresh (non-retransmitted)
+  // echo becomes an RTT sample and re-seeds the timeout of any
+  // backed-off in-flight packet from the new estimate, so a path that
+  // recovers from loss sheds its inflated timeouts at the first live
+  // round trip instead of waiting the packets out.
   void on_ack(std::uint64_t cum_ack, std::optional<TimingStamp> echo,
               Time now, std::vector<util::Bytes>& out_packets,
               AckInfo piggyback_ack, ChannelStats& stats) {
-    if (echo && config_.adaptive_rto) take_sample(*echo, now, stats);
+    if (echo) take_sample(*echo, now, stats);
     while (!queue_.empty() && queue_.front().seq <= cum_ack &&
            queue_.front().sent_at != kNotSent) {
       const Pending& p = queue_.front();
@@ -234,7 +228,7 @@ class ChannelSender {
     }
     pump(now, out_packets, piggyback_ack);
   }
-  // Timing-oblivious form (static configs, tests).
+  // Echo-less form (tests).
   void on_ack(std::uint64_t cum_ack, Time now,
               std::vector<util::Bytes>& out_packets, AckInfo piggyback_ack) {
     ChannelStats scratch;
@@ -290,9 +284,7 @@ class ChannelSender {
   std::uint64_t sent_count() const { return sent_count_; }
   const RttEstimator& rtt() const { return rtt_; }
   // The RTO a packet transmitted now would start from.
-  Duration current_rto() const {
-    return config_.adaptive_rto ? rtt_.rto() : config_.rto;
-  }
+  Duration current_rto() const { return rtt_.rto(); }
 
  private:
   static constexpr Time kNotSent = -1;
@@ -338,18 +330,14 @@ class ChannelSender {
   }
 
   util::Bytes encode(const Pending& p, const AckInfo& ack) const {
-    // Header bound: kind + 2 varints (16, the pre-extension bound), plus
-    // the timing extension's flags byte + 2 stamp varints when on.
-    const std::size_t need =
-        p.payload.size() + (config_.adaptive_rto ? 48 : 16);
+    // Header bound: kind + 2 varints, flags byte + 2 stamp varints.
+    const std::size_t need = p.payload.size() + 48;
     ChannelDataFrame f;
     f.seq = p.seq;
     f.cum_ack = ack.cum;
-    if (config_.adaptive_rto) {
-      f.timing =
-          TimingStamp{static_cast<std::uint64_t>(p.sent_at), p.rexmits > 0};
-      f.echo = ack.echo;
-    }
+    f.timing =
+        TimingStamp{static_cast<std::uint64_t>(p.sent_at), p.rexmits > 0};
+    f.echo = ack.echo;
     f.payload = p.payload;
     return f.encode(util::BufferPool::acquire_from(config_.pool, need));
   }
@@ -372,15 +360,15 @@ class ChannelReceiver {
 
   // Handles a data packet; appends in-order payloads to `delivered`.
   // Returns the cumulative ack to send back. `stamp` is the sender's
-  // transmit-time stamp (adaptive timing): the first stamp since the
-  // last ack went out is latched for echoing, so the sender's RTT sample
-  // spans the whole burst-plus-delayed-ack round trip (the TCP
-  // timestamps RTTM rule for delayed acks).
+  // transmit-time stamp: the first stamp since the last ack went out is
+  // latched for echoing, so the sender's RTT sample spans the whole
+  // burst-plus-delayed-ack round trip (the TCP timestamps RTTM rule for
+  // delayed acks).
   std::uint64_t on_data(std::uint64_t seq, util::BytesView payload,
-                        std::optional<TimingStamp> stamp,
+                        const TimingStamp& stamp,
                         std::vector<util::BytesView>& delivered,
                         ChannelStats& stats) {
-    if (stamp && !echo_) echo_ = *stamp;
+    if (!echo_) echo_ = stamp;
     return on_data(seq, std::move(payload), delivered, stats);
   }
 

@@ -267,18 +267,16 @@ class Router {
   };
 
   // The ack content outgoing data to this peer piggybacks: the current
-  // cumulative ack plus (adaptive timing) the latched timestamp echo.
-  AckInfo ack_info(const Peer& peer) const {
-    if (!config_.adaptive_rto) return AckInfo(peer.receiver.cum_ack());
+  // cumulative ack plus the latched timestamp echo.
+  static AckInfo ack_info(const Peer& peer) {
     return AckInfo(peer.receiver.cum_ack(), peer.receiver.pending_echo());
   }
 
-  // The delayed-ack window towards this peer: static until the channel
-  // has an RTT estimate, then srtt/4 (clamped) so fast paths ack sooner
-  // and slow paths stop provoking spurious retransmissions.
+  // The delayed-ack window towards this peer: config_.ack_delay until
+  // the channel has an RTT estimate, then srtt/4 (clamped) so fast paths
+  // ack sooner and slow paths stop provoking spurious retransmissions.
   Duration ack_delay(const Peer& peer) const {
-    if (!config_.adaptive_rto || !peer.sender.rtt().valid())
-      return config_.ack_delay;
+    if (!peer.sender.rtt().valid()) return config_.ack_delay;
     // Guard the pair so a misconfigured max below min cannot hand
     // std::clamp an inverted range (the floor wins).
     return std::clamp(peer.sender.rtt().srtt() / 4, config_.ack_delay_min,
@@ -360,10 +358,8 @@ class Router {
   void send_ack(PeerId to, Peer& peer) {
     ChannelAckFrame f;
     f.cum_ack = peer.receiver.cum_ack();
-    if (config_.adaptive_rto) {
-      f.echo = peer.receiver.pending_echo();
-      peer.receiver.consume_echo();
-    }
+    f.echo = peer.receiver.pending_echo();
+    peer.receiver.consume_echo();
     ++peer.stats.acks_sent;
     send_(to, f.encode(util::BufferPool::acquire_from(config_.pool, 24)));
   }

@@ -1,5 +1,5 @@
-// Unified application API (core/api.h): the typed event stream, the
-// legacy-hooks adapter, SendResult semantics and the GroupHandle facade
+// Unified application API (core/api.h): the typed event stream,
+// SendResult semantics and the GroupHandle facade
 // over the sim host. Host-specific handle behaviour is covered in
 // test_runtime.cpp (threads) and test_udp.cpp (sockets); these tests pin
 // the contract itself.
@@ -57,52 +57,9 @@ TEST(Api, SendCountsTally) {
   EXPECT_EQ(c.total(), 5u);
 }
 
-TEST(Api, LegacyHooksAdapterDispatchesEachEventKind) {
-  // emit_to_legacy_hooks routes every event kind with a legacy field to
-  // that field, and silently drops the kinds that predate no field.
-  EndpointHooks hooks;
-  std::vector<std::string> calls;
-  hooks.deliver = [&](const Delivery& d) {
-    calls.push_back("deliver:" + std::string(d.payload.begin(),
-                                             d.payload.end()));
-  };
-  hooks.view_change = [&](GroupId g, const View& v) {
-    calls.push_back("view:" + std::to_string(g) + ":" +
-                    std::to_string(v.members.size()));
-  };
-  hooks.formation_result = [&](GroupId g, FormationOutcome o) {
-    calls.push_back("formation:" + std::to_string(g) + ":" +
-                    std::to_string(static_cast<int>(o)));
-  };
-
-  Delivery d;
-  d.payload = util::BytesView(bytes_of("hi"));
-  emit_to_legacy_hooks(hooks, Event(DeliveryEvent{d}));
-  View v;
-  v.members = {1, 2, 3};
-  emit_to_legacy_hooks(hooks, Event(ViewChangeEvent{7, v}));
-  emit_to_legacy_hooks(hooks,
-                       Event(FormationEvent{9, FormationOutcome::kVetoed}));
-  emit_to_legacy_hooks(hooks, Event(SendWindowEvent{1, 4}));          // dropped
-  emit_to_legacy_hooks(hooks, Event(RetentionPressureEvent{1, {}}));  // dropped
-  // State-transfer kinds postdate the legacy hooks; the adapter drops
-  // them rather than faking a delivery or view change.
-  StateTransferEvent st;
-  st.group = 1;
-  st.phase = StateTransferEvent::Phase::kCaughtUp;
-  emit_to_legacy_hooks(hooks, Event(st));  // dropped
-  MemberJoinedEvent mj;
-  mj.group = 1;
-  mj.member = 4;
-  emit_to_legacy_hooks(hooks, Event(mj));  // dropped
-
-  EXPECT_EQ(calls, (std::vector<std::string>{
-                       "deliver:hi", "view:7:3", "formation:9:1"}));
-}
-
 TEST(Api, EndpointWorksWithOnlyAnEventSink) {
-  // The modern contract: no legacy fields at all, one sink. Two bare
-  // endpoints wired back-to-back through their send hooks.
+  // The host contract: one event sink. Two bare endpoints wired
+  // back-to-back through their send hooks.
   struct Node {
     std::vector<Event> events;
     std::unique_ptr<Endpoint> ep;

@@ -93,9 +93,9 @@ TEST(EndpointUnit, AcceptInviteHookCanVeto) {
   h0.send = [&](ProcessId to, util::SharedBytes b) {
     wire0.emplace_back(to, *b);
   };
-  h0.deliver = [](const Delivery&) {};
-  h0.formation_result = [&](GroupId, FormationOutcome o) {
-    outcomes0.push_back(o);
+  h0.on_event = [&](const Event& ev) {
+    if (const auto* f = std::get_if<FormationEvent>(&ev))
+      outcomes0.push_back(f->outcome);
   };
   Endpoint e0(0, {}, std::move(h0));
 
@@ -103,11 +103,11 @@ TEST(EndpointUnit, AcceptInviteHookCanVeto) {
   h1.send = [&](ProcessId to, util::SharedBytes b) {
     wire1.emplace_back(to, *b);
   };
-  h1.deliver = [](const Delivery&) {};
   h1.accept_invite = [](const FormInviteMsg&) { return false; };  // veto
   std::vector<FormationOutcome> outcomes1;
-  h1.formation_result = [&](GroupId, FormationOutcome o) {
-    outcomes1.push_back(o);
+  h1.on_event = [&](const Event& ev) {
+    if (const auto* f = std::get_if<FormationEvent>(&ev))
+      outcomes1.push_back(f->outcome);
   };
   Endpoint e1(1, {}, std::move(h1));
 

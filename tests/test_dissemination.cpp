@@ -95,6 +95,48 @@ TEST(DisseminationPlan, RingAllSuccessorsSuspectedDegradesToDirect) {
   EXPECT_EQ(hops.direct, (std::vector<ProcessId>{1, 2, 3}));
 }
 
+TEST(DisseminationPlan, RingMatchesSuccessorWalkExhaustive) {
+  // Oracle: the ring as a cyclic successor walk over the sorted view.
+  // Each suspected successor gets a direct copy and the walk moves past
+  // it; the first live one is the relay hop; the walk never wraps back
+  // onto the origin.
+  const auto walk = [](std::size_t n, ProcessId self, ProcessId origin,
+                       std::uint32_t suspected_mask) {
+    DisseminationPlan::Hops hops;
+    for (std::size_t step = 1; step < n; ++step) {
+      const auto c = static_cast<ProcessId>((self + step) % n);
+      if (c == origin) break;
+      if ((suspected_mask >> c) & 1u) {
+        hops.direct.push_back(c);
+        continue;
+      }
+      hops.relay.push_back(c);
+      break;
+    }
+    return hops;
+  };
+  for (std::size_t n = 3; n <= 10; ++n) {
+    // relay_arity is irrelevant to a ring; a non-default value proves it.
+    const auto plan = make_plan(DisseminationStrategy::kRing, n, /*arity=*/3);
+    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+      const std::function<bool(ProcessId)> suspected =
+          [mask](ProcessId p) { return ((mask >> p) & 1u) != 0; };
+      for (ProcessId origin = 0; origin < n; ++origin) {
+        for (ProcessId self = 0; self < n; ++self) {
+          const auto got = plan.next_hops(self, origin, suspected);
+          const auto want = walk(n, self, origin, mask);
+          ASSERT_EQ(got.relay, want.relay)
+              << "n=" << n << " mask=" << mask << " origin=" << origin
+              << " self=" << self;
+          ASSERT_EQ(got.direct, want.direct)
+              << "n=" << n << " mask=" << mask << " origin=" << origin
+              << " self=" << self;
+        }
+      }
+    }
+  }
+}
+
 TEST(DisseminationPlan, TreeRootFansOutToArityChildren) {
   const auto plan = make_plan(DisseminationStrategy::kTree, 7, /*arity=*/2);
   // Origin 0: tree indices are ranks directly. Children of 0 are {1, 2};

@@ -24,14 +24,11 @@ struct DecodedData {
 };
 
 DecodedData decode_data(const util::Bytes& packet) {
-  util::Reader r(packet);
-  EXPECT_EQ(static_cast<PacketKind>(r.u8()), PacketKind::kData);
-  DecodedData d;
-  d.seq = r.varint();
-  d.piggyback_ack = r.varint();
-  d.payload = r.bytes();
-  EXPECT_TRUE(r.at_end());
-  return d;
+  const auto f = ChannelDataFrame::decode(util::BytesView(packet));
+  EXPECT_TRUE(f.has_value());
+  if (!f) return DecodedData{0, 0, {}};
+  return DecodedData{f->seq, f->cum_ack,
+                     util::Bytes(f->payload.begin(), f->payload.end())};
 }
 
 TEST(ChannelSender, AssignsSequentialSeqsFromOne) {
@@ -209,12 +206,11 @@ TEST(ChannelReceiver, ReorderBufferCapDropsOverflow) {
   EXPECT_EQ(stats.reorder_dropped, 1u);
 }
 
-// --- Adaptive transport timing (RTT estimator + timed frames) ---------
+// --- Adaptive transport timing (RTT estimator + stamped frames) -------
 
 ChannelConfig adaptive_cfg() {
   ChannelConfig cfg;
-  cfg.adaptive_rto = true;
-  cfg.rto = 20000;      // 20ms static seed
+  cfg.rto = 20000;      // 20ms seed until the first sample
   cfg.rto_min = 5000;   // 5ms
   cfg.rto_max = 160000;
   cfg.rto_backoff = 2.0;
@@ -224,7 +220,7 @@ ChannelConfig adaptive_cfg() {
 TEST(RttEstimator, ConvergesToConstantRtt) {
   RttEstimator e(20000, 1000, 160000);
   EXPECT_FALSE(e.valid());
-  EXPECT_EQ(e.rto(), 20000);  // static until the first sample
+  EXPECT_EQ(e.rto(), 20000);  // the seed until the first sample
   e.sample(10000);
   EXPECT_TRUE(e.valid());
   EXPECT_EQ(e.srtt(), 10000);
@@ -257,21 +253,28 @@ TEST(RttEstimator, RtoClampsToConfiguredBounds) {
   EXPECT_EQ(hi.rto(), 160000);
 }
 
-TEST(ChannelSender, AdaptiveModeStampsDataPackets) {
-  ChannelSender s{adaptive_cfg()};
+TEST(ChannelSender, StampsEveryDataPacket) {
+  ChannelSender s{ChannelConfig{}};
   std::vector<util::Bytes> out;
+  ChannelStats stats;
+  const Time rexmit_at = 1234 + ChannelConfig{}.rto;
   s.send(bytes_of("x"), 1234, out, 7);
   ASSERT_EQ(out.size(), 1u);
-  const auto f = ChannelDataFrame::decode(util::BytesView(out[0]));
+  auto f = ChannelDataFrame::decode(util::BytesView(out[0]));
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->cum_ack, 7u);
-  ASSERT_TRUE(f->timing.has_value());
-  EXPECT_EQ(f->timing->ts, 1234u);
-  EXPECT_FALSE(f->timing->rexmit);
-  // Legacy decoder shape is preserved for static configs (see
-  // UntimedDataFrame test in test_wire.cpp); here the timed frame is
-  // re-decodable by the same path.
   EXPECT_EQ(f->seq, 1u);
+  EXPECT_EQ(f->cum_ack, 7u);
+  EXPECT_EQ(f->timing.ts, 1234u);
+  EXPECT_FALSE(f->timing.rexmit);
+  EXPECT_FALSE(f->echo.has_value());
+  // A retransmission is stamped too, marked for Karn's rule.
+  out.clear();
+  s.tick(rexmit_at, out, 0, stats);
+  ASSERT_EQ(out.size(), 1u);
+  f = ChannelDataFrame::decode(util::BytesView(out[0]));
+  ASSERT_TRUE(f.has_value());
+  EXPECT_EQ(f->timing.ts, static_cast<std::uint64_t>(rexmit_at));
+  EXPECT_TRUE(f->timing.rexmit);
 }
 
 TEST(ChannelSender, EchoFeedsEstimatorAndStats) {
@@ -301,7 +304,7 @@ TEST(ChannelSender, KarnRuleExcludesRetransmittedEchoes) {
   EXPECT_EQ(stats.rtt_samples, 0u);
   EXPECT_EQ(stats.karn_skipped, 1u);
   EXPECT_FALSE(s.rtt().valid());
-  EXPECT_EQ(s.current_rto(), 20000);  // still the static seed
+  EXPECT_EQ(s.current_rto(), 20000);  // still the configured seed
 }
 
 TEST(ChannelSender, FreshSampleReseedsBackedOffTimeouts) {

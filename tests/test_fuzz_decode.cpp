@@ -65,10 +65,17 @@ TEST(FuzzDecode, PureRandomBytesNeverCrashDecoders) {
   }
 }
 
-TEST(FuzzDecode, MutatedTimedChannelFramesNeverCrashDecoders) {
-  // The timing extension adds a flags byte and up to two varints to the
-  // channel packet headers; corrupting any of them must fail cleanly,
-  // and a surviving decode must stay within the backing buffer.
+// The retired untimed channel layouts (kind byte without the 0x80 bit,
+// no flags byte, no stamps): hostile input now.
+const util::Bytes kUntimedData = {/*kind*/ 0, /*seq*/ 41, /*cum*/ 40,
+                                  /*len*/ 3, 1, 2, 3};
+const util::Bytes kUntimedAck = {/*kind*/ 1, /*cum*/ 77};
+
+TEST(FuzzDecode, MutatedChannelFramesNeverCrashDecoders) {
+  // The channel headers carry a flags byte and up to two stamp varints;
+  // corrupting any of them must fail cleanly, and a surviving decode
+  // must stay within the backing buffer. The untimed layouts seed the
+  // corpus too: mutations of them must fail just as cleanly.
   util::Rng rng(86420);
   ChannelDataFrame data;
   data.seq = 41;
@@ -79,10 +86,10 @@ TEST(FuzzDecode, MutatedTimedChannelFramesNeverCrashDecoders) {
   ChannelAckFrame ack;
   ack.cum_ack = 77;
   ack.echo = TimingStamp{13579, false};
-  const util::Bytes valid_data = data.encode();
-  const util::Bytes valid_ack = ack.encode();
+  const util::Bytes seeds[] = {data.encode(), ack.encode(), kUntimedData,
+                               kUntimedAck};
   for (int i = 0; i < fuzz_iters(20000); ++i) {
-    util::Bytes b = (i % 2 == 0) ? valid_data : valid_ack;
+    util::Bytes b = seeds[i % 4];
     const int edits = 1 + static_cast<int>(rng.next_below(3));
     for (int e = 0; e < edits; ++e) {
       switch (rng.next_below(3)) {
@@ -616,6 +623,22 @@ TEST(FuzzDecode, RouterSurvivesGarbageDatagrams) {
   // layer accepts them in seq order only — at most a bounded number
   // reach the deliver callback, and nothing crashes.
   router.tick(100000);
+}
+
+TEST(FuzzDecode, RouterRejectsUntimedChannelFrames) {
+  int delivered = 0;
+  int sent = 0;
+  transport::Router router(
+      0, {}, [&sent](transport::PeerId, util::Bytes) { ++sent; },
+      [&delivered](transport::PeerId, util::BytesView) { ++delivered; });
+  EXPECT_FALSE(ChannelDataFrame::decode(util::BytesView(kUntimedData)));
+  EXPECT_FALSE(ChannelAckFrame::decode(util::BytesView(kUntimedAck)));
+  router.on_datagram(1, util::BytesView(kUntimedData), 0);
+  router.on_datagram(1, util::BytesView(kUntimedAck), 0);
+  router.tick(100000);
+  // Dropped whole: no delivery, and no ack owed for it.
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(sent, 0);
 }
 
 }  // namespace

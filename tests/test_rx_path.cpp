@@ -25,9 +25,8 @@ util::Bytes bytes_of(const std::string& s) {
 }
 
 // A bare endpoint with capture-everything hooks; no transport, no host.
-// Uses the legacy `deliver` hook AND the unified event sink — both are
-// fed by the engine (migration mode), so `delivered` exercises the
-// adapter while `events` sees the full typed stream.
+// The event sink splits the stream: deliveries into `delivered`,
+// everything else into `events`.
 struct Harness {
   std::vector<Delivery> delivered;
   std::vector<std::pair<ProcessId, util::SharedBytes>> sent;
@@ -40,12 +39,15 @@ struct Harness {
     hooks.send = [this](ProcessId to, util::SharedBytes data) {
       sent.emplace_back(to, std::move(data));
     };
-    hooks.deliver = [this](const Delivery& d) { delivered.push_back(d); };
-    // Deliveries are captured through the legacy hook above; recording
-    // the DeliveryEvent here too would hold a second payload reference
-    // and distort the buffer-lifetime tests.
+    // Deliveries go to `delivered` only; recording the DeliveryEvent in
+    // `events` too would hold a second payload reference and distort the
+    // buffer-lifetime tests.
     hooks.on_event = [this](const Event& ev) {
-      if (!std::holds_alternative<DeliveryEvent>(ev)) events.push_back(ev);
+      if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
+        delivered.push_back(d->delivery);
+      } else {
+        events.push_back(ev);
+      }
     };
     hooks.buffer_pool = std::move(pool);
     ep = std::make_unique<Endpoint>(self, cfg, std::move(hooks));
@@ -345,16 +347,16 @@ TEST(RxPath, SuspicionHeldMessagesCompactToo) {
 // ---------------------------------------------------------------------
 
 TEST(RxPath, CopyOutReleasesArrivalDatagramAtHandlingReturn) {
-  // kCopyOut detaches every accepted message from its arrival buffer at
-  // receive time: the moment on_message returns (and the test drops its
-  // own reference), nothing — not the recorded Delivery, not recovery
-  // retention — pins the datagram. Contrast with
-  // DeliveredSliceOutlivesArrivalDatagram above, where kZeroCopySlice
-  // keeps it alive.
+  // kPooledCopy with no host pool detaches every accepted message from
+  // its arrival buffer into plain heap copies at receive time: the
+  // moment on_message returns (and the test drops its own reference),
+  // nothing — not the recorded Delivery, not recovery retention — pins
+  // the datagram. Contrast with DeliveredSliceOutlivesArrivalDatagram
+  // above, where kZeroCopySlice keeps it alive.
   Harness h(1);
   GroupOptions opts;
   opts.guarantee = Guarantee::kAtomicOnly;
-  opts.delivery = DeliveryMode::kCopyOut;
+  opts.delivery = DeliveryMode::kPooledCopy;
   h.ep->create_group(1, {0, 1}, opts, 0);
 
   util::SharedBytes datagram = util::share(encode_app(1, 0, 1, "keepme"));
@@ -372,10 +374,11 @@ TEST(RxPath, CopyOutReleasesArrivalDatagramAtHandlingReturn) {
 TEST(RxPath, CopyOutReleasesBatchFrameWhileMessagesStillQueued) {
   // Total-order group: the messages wait in the delivery queue, but the
   // queue holds detached copies — the batched arrival buffer dies the
-  // moment its handling returns, long before delivery.
+  // moment its handling returns, long before delivery. No host pool:
+  // plain heap copies.
   Harness h(1);
   GroupOptions opts;
-  opts.delivery = DeliveryMode::kCopyOut;
+  opts.delivery = DeliveryMode::kPooledCopy;
   h.ep->create_group(1, {0, 1}, opts, 0);
 
   BatchFrame frame;
@@ -397,9 +400,9 @@ TEST(RxPath, CopyOutReleasesBatchFrameWhileMessagesStillQueued) {
 }
 
 TEST(RxPath, PooledCopyDrawsFromHostPoolAndReleasesArrival) {
-  // kPooledCopy behaves like kCopyOut but recycles the detach buffers
-  // through the host's BufferPool, so steady-state detaching costs no
-  // allocator traffic.
+  // With a host BufferPool installed, kPooledCopy recycles the detach
+  // buffers through it, so steady-state detaching costs no allocator
+  // traffic.
   auto pool = util::BufferPool::create();
   Config cfg;
   Harness h(1, cfg, pool);

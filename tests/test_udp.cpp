@@ -131,7 +131,6 @@ TEST(UdpTransport, AdaptiveRttEstimationOverLoopback) {
   // steady_clock stamps ride the wire, echoes come back, and the
   // estimator's gauges surface through the marshalled stats snapshot.
   UdpNodeConfig cfg = fast_cfg();
-  cfg.channel.adaptive_rto = true;
   auto nodes = make_mesh(2, cfg);
   std::vector<ProcessId> members{0, 1};
   for (auto& node : nodes) node->create_group(1, members);
@@ -461,7 +460,6 @@ TEST(UdpTransport, FastRetransmitViaDeadlineWakeups) {
   // 1.5s is only possible from the deadline-driven wakeup path (the
   // tick alone could produce at most 3 in that window).
   UdpNodeConfig cfg = fast_cfg();
-  cfg.channel.adaptive_rto = true;
   cfg.channel.rto_min = 1 * sim::kMillisecond;
   cfg.tick_interval = 500 * sim::kMillisecond;
   // Keep suspicion out of the picture: a view change excluding the dead

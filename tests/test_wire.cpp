@@ -588,39 +588,7 @@ TEST(Wire, HeaderSizeBoundedRegardlessOfGroupSize) {
 
 // --- Channel packet frames (transport plane) --------------------------
 
-TEST(ChannelFrames, UntimedDataFrameMatchesLegacyLayout) {
-  // adaptive_rto=false must keep the wire byte-for-byte: kind, seq,
-  // cum_ack, length-prefixed payload — nothing else.
-  ChannelDataFrame f;
-  f.seq = 5;
-  f.cum_ack = 3;
-  f.payload = {0xaa, 0xbb};
-  const util::Bytes raw = f.encode();
-  const util::Bytes legacy = {/*kind*/ 0, /*seq*/ 5, /*cum*/ 3,
-                              /*len*/ 2,  0xaa,      0xbb};
-  EXPECT_EQ(raw, legacy);
-  const auto d = ChannelDataFrame::decode(util::BytesView(raw));
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->seq, 5u);
-  EXPECT_EQ(d->cum_ack, 3u);
-  EXPECT_FALSE(d->timing.has_value());
-  EXPECT_FALSE(d->echo.has_value());
-  EXPECT_EQ(d->payload, f.payload);
-}
-
-TEST(ChannelFrames, UntimedAckFrameMatchesLegacyLayout) {
-  ChannelAckFrame f;
-  f.cum_ack = 200;
-  const util::Bytes raw = f.encode();
-  const util::Bytes legacy = {/*kind*/ 1, /*varint 200*/ 0xc8, 0x01};
-  EXPECT_EQ(raw, legacy);
-  const auto d = ChannelAckFrame::decode(util::BytesView(raw));
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->cum_ack, 200u);
-  EXPECT_FALSE(d->echo.has_value());
-}
-
-TEST(ChannelFrames, TimedDataFrameRoundTrips) {
+TEST(ChannelFrames, DataFrameRoundTrips) {
   ChannelDataFrame f;
   f.seq = 77;
   f.cum_ack = 76;
@@ -628,69 +596,116 @@ TEST(ChannelFrames, TimedDataFrameRoundTrips) {
   f.echo = TimingStamp{987654321, false};
   f.payload = {9, 8, 7};
   const util::Bytes raw = f.encode();
-  EXPECT_EQ(raw[0], 0x80);  // kData | timing flag
   const auto d = ChannelDataFrame::decode(util::BytesView(raw));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->seq, 77u);
   EXPECT_EQ(d->cum_ack, 76u);
-  ASSERT_TRUE(d->timing.has_value());
-  EXPECT_EQ(d->timing->ts, 123456789u);
-  EXPECT_TRUE(d->timing->rexmit);
+  EXPECT_EQ(d->timing.ts, 123456789u);
+  EXPECT_TRUE(d->timing.rexmit);
   ASSERT_TRUE(d->echo.has_value());
   EXPECT_EQ(d->echo->ts, 987654321u);
   EXPECT_FALSE(d->echo->rexmit);
   EXPECT_EQ(d->payload, f.payload);
 }
 
-TEST(ChannelFrames, TimedAckFrameRoundTrips) {
+TEST(ChannelFrames, AckFrameRoundTrips) {
   ChannelAckFrame f;
   f.cum_ack = 12;
   f.echo = TimingStamp{42, true};
-  const util::Bytes raw = f.encode();
-  EXPECT_EQ(raw[0], 0x81);  // kAck | timing flag
-  const auto d = ChannelAckFrame::decode(util::BytesView(raw));
+  auto d = ChannelAckFrame::decode(util::BytesView(f.encode()));
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->cum_ack, 12u);
   ASSERT_TRUE(d->echo.has_value());
   EXPECT_EQ(d->echo->ts, 42u);
   EXPECT_TRUE(d->echo->rexmit);
+  // An ack owed before any stamp arrived carries no echo.
+  f.echo.reset();
+  d = ChannelAckFrame::decode(util::BytesView(f.encode()));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->cum_ack, 12u);
+  EXPECT_FALSE(d->echo.has_value());
 }
 
-TEST(ChannelFrames, DecodeIgnoresUnknownExtensionFlagBits) {
-  // Version tolerance: a future sender may set flag bits we do not
-  // know; the known fields must still decode.
+TEST(ChannelFrames, LayoutsAreByteExact) {
+  // data: kind|0x80, seq, cum_ack, flags, tx stamp, [echo], payload.
+  ChannelDataFrame f;
+  f.seq = 5;
+  f.cum_ack = 3;
+  f.timing = TimingStamp{9, false};
+  f.payload = {0xaa, 0xbb};
+  EXPECT_EQ(f.encode(), (util::Bytes{0x80, 5, 3, /*flags*/ 0x01, 9,
+                                     /*len*/ 2, 0xaa, 0xbb}));
+  f.timing.rexmit = true;
+  f.echo = TimingStamp{7, true};
+  EXPECT_EQ(f.encode(), (util::Bytes{0x80, 5, 3, /*flags*/ 0x0f, 9, 7,
+                                     /*len*/ 2, 0xaa, 0xbb}));
+  // ack: kind|0x80, cum_ack, flags, [echo].
+  ChannelAckFrame a;
+  a.cum_ack = 200;
+  EXPECT_EQ(a.encode(), (util::Bytes{0x81, /*varint 200*/ 0xc8, 0x01, 0}));
+  a.echo = TimingStamp{42, false};
+  EXPECT_EQ(a.encode(), (util::Bytes{0x81, 0xc8, 0x01, /*flags*/ 0x04, 42}));
+}
+
+TEST(ChannelFrames, DecodeRejectsUntimedDataFrame) {
+  // The retired untimed layout: kind 0, seq, cum_ack, payload — no flags
+  // byte, no stamp. A peer emitting it is not speaking this protocol.
+  const util::Bytes untimed = {/*kind*/ 0, /*seq*/ 5, /*cum*/ 3,
+                               /*len*/ 2,  0xaa,      0xbb};
+  EXPECT_FALSE(ChannelDataFrame::decode(util::BytesView(untimed)));
+  EXPECT_FALSE(ChannelAckFrame::decode(util::BytesView(untimed)));
+  // Likewise its ack: kind 1, cum_ack.
+  const util::Bytes untimed_ack = {/*kind*/ 1, /*varint 200*/ 0xc8, 0x01};
+  EXPECT_FALSE(ChannelAckFrame::decode(util::BytesView(untimed_ack)));
+  EXPECT_FALSE(ChannelDataFrame::decode(util::BytesView(untimed_ack)));
+}
+
+TEST(ChannelFrames, DecodeRejectsMalformedFlags) {
   ChannelDataFrame f;
   f.seq = 1;
-  f.cum_ack = 0;
   f.timing = TimingStamp{99, false};
   f.payload = {1};
-  util::Bytes raw = f.encode();
-  raw[3] |= 0xf0;  // flags byte: set the four unassigned high bits
-  const auto d = ChannelDataFrame::decode(util::BytesView(raw));
-  ASSERT_TRUE(d.has_value());
-  ASSERT_TRUE(d->timing.has_value());
-  EXPECT_EQ(d->timing->ts, 99u);
-  EXPECT_EQ(d->payload, f.payload);
+  const util::Bytes raw = f.encode();
+  ASSERT_TRUE(ChannelDataFrame::decode(util::BytesView(raw)));
+  // Unknown flag bits.
+  util::Bytes bad = raw;
+  bad[3] |= 0x10;
+  EXPECT_FALSE(ChannelDataFrame::decode(util::BytesView(bad)));
+  // A data frame without its tx stamp.
+  bad = raw;
+  bad[3] &= static_cast<std::uint8_t>(~0x01);
+  EXPECT_FALSE(ChannelDataFrame::decode(util::BytesView(bad)));
+  // An ack claiming a tx stamp.
+  EXPECT_FALSE(ChannelAckFrame::decode(
+      util::BytesView(util::Bytes{0x81, 1, /*flags*/ 0x01, 5})));
 }
 
-TEST(ChannelFrames, DecodeRejectsTruncatedTimedFrames) {
+TEST(ChannelFrames, DecodeRejectsTruncatedFrames) {
   ChannelDataFrame f;
   f.seq = 1;
   f.cum_ack = 0;
   f.timing = TimingStamp{1234567, false};
   f.echo = TimingStamp{7654321, false};
   f.payload = {1, 2, 3};
+  ChannelAckFrame a;
+  a.cum_ack = 300;
+  a.echo = TimingStamp{7654321, false};
   const util::Bytes raw = f.encode();
-  for (std::size_t cut = 1; cut < raw.size(); ++cut) {
-    util::Bytes t(raw.begin(),
-                  raw.begin() + static_cast<std::ptrdiff_t>(cut));
-    // Must never crash; shorter prefixes mostly fail, and any prefix
-    // that still parses must not read past its own bounds (ASan-checked).
-    (void)ChannelDataFrame::decode(util::BytesView(t));
+  const util::Bytes raw_ack = a.encode();
+  for (std::size_t cut = 0; cut < raw.size(); ++cut) {
+    const util::Bytes t(raw.begin(),
+                        raw.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(ChannelDataFrame::decode(util::BytesView(t))) << cut;
+  }
+  for (std::size_t cut = 0; cut < raw_ack.size(); ++cut) {
+    const util::Bytes t(raw_ack.begin(),
+                        raw_ack.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_FALSE(ChannelAckFrame::decode(util::BytesView(t))) << cut;
   }
   const auto whole = ChannelDataFrame::decode(util::BytesView(raw));
   ASSERT_TRUE(whole.has_value());
   EXPECT_EQ(whole->payload, f.payload);
+  EXPECT_TRUE(ChannelAckFrame::decode(util::BytesView(raw_ack)));
 }
 
 TEST(ChannelFrames, KindMismatchRejected) {
