@@ -7,8 +7,8 @@
 // through the *unified application API* (core/api.h): GroupHandle for
 // commands and queries, the typed Event stream for everything the engine
 // reports back, and SendResult for the multicast admission verdict. The
-// same three surfaces exist verbatim on the threaded runtime
-// (examples/replicated_kv.cpp) and the UDP host (examples/udp_demo.cpp).
+// same three surfaces exist verbatim on the UDP host
+// (examples/replicated_kv.cpp, examples/udp_demo.cpp).
 #include <cstdio>
 #include <string>
 

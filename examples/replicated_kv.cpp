@@ -1,6 +1,7 @@
 // Replicated key-value store: the classic application of total-order
-// multicast (state machine replication), run over the threaded runtime —
-// real threads, real time, the same protocol engine as the simulation.
+// multicast (state machine replication), run as five UdpNodes sharing one
+// loopback UdpTransport — real sockets, real threads, real time, the same
+// protocol engine as the simulation.
 //
 // Four replicas apply a stream of put/incr commands issued concurrently
 // by three writer threads through different replicas. Mid-load, a fifth
@@ -20,7 +21,7 @@
 //   - the group opts into DeliveryMode::kPooledCopy — a KV store keeps
 //     commands until they are applied, so it takes right-sized pooled
 //     copies rather than pinning whole arrival BatchFrames;
-//   - runtime-wide events arrive through RuntimeConfig::on_event (one
+//   - each replica's events arrive through UdpNodeConfig::on_event (one
 //     typed stream) — deliveries apply to the stores live, and the
 //     joiner's progress (offered / installing / caught-up) is the same
 //     stream, not a side channel.
@@ -28,16 +29,18 @@
 #include <chrono>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "runtime/threaded_runtime.h"
+#include "transport/udp_transport.h"
 
 using namespace newtop;
-using runtime::RuntimeConfig;
-using runtime::ThreadedRuntime;
+using transport::UdpNode;
+using transport::UdpNodeConfig;
+using transport::UdpTransport;
 
 namespace {
 
@@ -45,8 +48,8 @@ util::Bytes bytes_of(const std::string& s) {
   return util::Bytes(s.begin(), s.end());
 }
 
-// Applied on the owner thread of each replica (the event sink), read
-// from the main thread for convergence checks — hence the mutex.
+// Applied on the transport's loop thread (the event sink), read from the
+// main thread for convergence checks — hence the mutex.
 struct Store {
   mutable std::mutex mu;
   std::map<std::string, long> kv;
@@ -107,16 +110,16 @@ int main() {
   std::vector<Store> stores(kReplicas);
   std::atomic<bool> caught_up{false};
 
-  RuntimeConfig cfg;
+  UdpNodeConfig cfg;
   cfg.endpoint.omega = 20 * sim::kMillisecond;
   cfg.endpoint.omega_big = 150 * sim::kMillisecond;
   // A small send window: a writer that outruns stability gets an honest
   // kBackpressure instead of an unbounded local queue.
   cfg.endpoint.max_pending_sends = 32;
-  // One typed event stream for the whole runtime: deliveries drive the
-  // stores, and the join narrates itself through the same stream.
+  // One typed event stream per replica: deliveries drive the stores, and
+  // the join narrates itself through the same stream.
   std::atomic<std::uint64_t> window_reopens{0};
-  cfg.on_event = [&](ProcessId p, const Event& ev) {
+  auto on_event = [&](ProcessId p, const Event& ev) {
     if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
       stores[p].apply(std::string(d->delivery.payload.begin(),
                                   d->delivery.payload.end()));
@@ -137,9 +140,21 @@ int main() {
       ++window_reopens;
     }
   };
-  ThreadedRuntime rt(kReplicas, cfg);
+  // All replicas multiplex one loopback socket and its event loop.
+  auto transport = std::make_shared<UdpTransport>(0);
+  std::vector<std::unique_ptr<UdpNode>> nodes;
+  for (ProcessId p = 0; p < kReplicas; ++p) {
+    cfg.on_event = [&on_event, p](const Event& ev) { on_event(p, ev); };
+    nodes.push_back(std::make_unique<UdpNode>(p, transport, cfg));
+  }
+  for (auto& n : nodes) {
+    for (auto& peer : nodes) {
+      if (peer->id() != n->id()) n->add_peer(peer->id(), transport->port());
+    }
+  }
+  for (auto& n : nodes) n->start();
 
-  std::printf("== Replicated KV store over Newtop (threaded runtime) ==\n");
+  std::printf("== Replicated KV store over Newtop (UDP loopback) ==\n");
   const std::vector<ProcessId> members = {0, 1, 2, 3};
   for (ProcessId p : members) {
     GroupOptions opts;
@@ -151,7 +166,7 @@ int main() {
     opts.snapshot_provider = [&stores, p](GroupId) {
       return stores[p].serialize();
     };
-    rt.create_group(p, kGroup, members, opts);
+    nodes[p]->create_group(kGroup, members, opts);
   }
   // Static-bootstrap contract: every replica must install V0 before the
   // writers start (see Endpoint::create_group).
@@ -159,8 +174,8 @@ int main() {
 
   // Three concurrent writers, each through a different replica's
   // GroupHandle. A writer honours backpressure by backing off.
-  auto writer = [&rt](ProcessId via, const std::string& prefix) {
-    GroupHandle group = rt.group(via, kGroup);
+  auto writer = [&nodes](ProcessId via, const std::string& prefix) {
+    GroupHandle group = nodes[via]->group(kGroup);
     for (int i = 0; i < kOpsPerWriter; ++i) {
       const std::string cmd =
           "incr " + prefix + std::to_string(i % 5) + " 1";
@@ -190,7 +205,7 @@ int main() {
                                       const std::vector<std::uint8_t>& b) {
     stores[kJoiner].install(b);
   };
-  if (!rt.group(kJoiner, kGroup).join(jo)) {
+  if (!nodes[kJoiner]->group(kGroup).join(jo)) {
     std::printf("join request could not be sent\n");
     return 1;
   }
@@ -210,7 +225,7 @@ int main() {
     }
     std::this_thread::sleep_for(5ms);
   }
-  GroupHandle joiner = rt.group(kJoiner, kGroup);
+  GroupHandle joiner = nodes[kJoiner]->group(kGroup);
   while (joiner.multicast(bytes_of("put done 1")) != SendResult::kSent) {
     std::this_thread::sleep_for(1ms);
   }
@@ -232,7 +247,7 @@ int main() {
   // Every writer's admissions are on the record: nothing was silently
   // dropped (backpressured attempts were retried until accepted).
   for (ProcessId p = 0; p < 3; ++p) {
-    const SendCounts c = rt.send_counts(p);
+    const SendCounts c = nodes[p]->send_counts();
     std::printf("replica %u admissions: %llu sent, %llu queued, %llu "
                 "backpressured (retried)\n",
                 p, static_cast<unsigned long long>(c.sent),
@@ -249,6 +264,6 @@ int main() {
   std::printf("replica 0 state: %s\n", stores[0].digest().c_str());
   std::printf("%zu replicas (one joined mid-load); states %s\n", kReplicas,
               all_equal ? "IDENTICAL" : "DIVERGED (bug!)");
-  rt.shutdown();
+  for (auto& n : nodes) n->stop();
   return all_equal ? 0 : 1;
 }

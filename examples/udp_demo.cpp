@@ -3,7 +3,7 @@
 // The same protocol engine as everywhere else — only the bytes now travel
 // through the kernel's network stack. Uses the unified application API
 // (core/api.h): the identical GroupHandle / Event surface the sim host
-// and the threaded runtime expose.
+// exposes.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   std::this_thread::sleep_for(400ms);
 
   // GroupHandles marshal onto each node's loop thread and return the
-  // admission verdict synchronously — the same facade as the sim host
-  // and the threaded runtime.
+  // admission verdict synchronously — the same facade as the sim host.
   GroupHandle g1 = nodes[1]->group(1);
   GroupHandle g2 = nodes[2]->group(1);
   std::printf("P1 multicast: %s\n",

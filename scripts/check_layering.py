@@ -7,8 +7,8 @@ deterministic state machine — no I/O, no threads, no clocks, no
 randomness — and dependencies point strictly down the layer diagram:
 
     application (tests, bench, examples)
-        hosts        runtime/, transport/udp_transport.*,
-                     core/sim_host.*, core/group_host_mailbox.h
+        hosts        transport/udp_transport.*, core/sim_host.*
+                     (and anything under runtime/)
         sim          sim/ (discrete-event framework; sim/time.h is
                      vocabulary usable by everyone)
         transport    transport/router.h, transport/fifo_channel.h
@@ -61,10 +61,6 @@ FILE_LAYER_OVERRIDES = {
     # engine); it lives in core/ for historical reasons.
     "core/sim_host.h": HOSTS,
     "core/sim_host.cpp": HOSTS,
-    # The mailbox GroupHost mixin marshals calls across threads
-    # (std::future) for the threaded hosts; it is host machinery, not
-    # engine.
-    "core/group_host_mailbox.h": HOSTS,
     # Pure vocabulary (integer microsecond aliases, no clock): usable
     # from any layer, including the engine.
     "sim/time.h": UTIL,

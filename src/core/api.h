@@ -4,9 +4,9 @@
 // totally ordered deliver, view change, formation outcome — and this
 // header is its single surface: a typed Event stream delivered through
 // one EventSink, an explicit SendResult for the multicast admission
-// decision, and a GroupHandle facade that every host (SimWorld,
-// ThreadedRuntime, UdpNode) exposes identically, so applications,
-// examples and tests target one API instead of one per host.
+// decision, and a GroupHandle facade that every host (SimWorld, UdpNode)
+// exposes identically, so applications, examples and tests target one
+// API instead of one per host.
 //
 // Versioning: Event is a closed variant; adding an event kind is a new
 // alternative (call sites using std::visit with exhaustive overloads get
@@ -191,8 +191,8 @@ using EventSink = std::function<void(const Event&)>;
 // ---------------------------------------------------------------------
 
 // What a host must provide to back GroupHandles. One GroupHost per
-// (host, process) pair: SimProcess, a ThreadedRuntime worker and UdpNode
-// each implement it, so the facade below behaves identically everywhere.
+// (host, process) pair: SimProcess and UdpNode each implement it, so
+// the facade below behaves identically everywhere.
 // Hosts that own the endpoint on another thread marshal these calls onto
 // the owner and block for the result — do not call them from inside an
 // event sink running on that same owner thread.
@@ -220,9 +220,9 @@ class GroupHost {
 };
 
 // Value-type facade over one group membership. Obtained from a host
-// (SimWorld::group, ThreadedRuntime::group, UdpNode::group); valid while
-// that host is alive. Copyable: handles are names, not owners — leaving
-// through one handle makes every copy report kNotMember.
+// (SimWorld::group, UdpNode::group); valid while that host is alive.
+// Copyable: handles are names, not owners — leaving through one handle
+// makes every copy report kNotMember.
 class GroupHandle {
  public:
   GroupHandle() = default;

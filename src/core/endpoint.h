@@ -9,7 +9,7 @@
 // threads and reads no clocks: inputs are `on_message` (a payload arriving
 // on the reliable FIFO transport), `on_tick` (time passing) and the
 // application API; outputs flow through the EndpointHooks callbacks. Hosts
-// (the discrete-event simulator, the threaded runtime) own time and I/O.
+// (the discrete-event simulator, the UDP host) own time and I/O.
 // This is what makes the adversarial schedules of the paper's Examples 1-3
 // replayable in tests.
 //

@@ -97,7 +97,7 @@ void SimProcess::group_leave(GroupId g) {
 
 std::optional<View> SimProcess::group_view(GroupId g) {
   // Crashed processes degrade to the rejecting defaults, exactly like a
-  // stopped ThreadedRuntime worker or UdpNode (the api.h contract).
+  // stopped UdpNode (the api.h contract).
   if (crashed_) return std::nullopt;
   const View* v = endpoint_->view(g);
   return v != nullptr ? std::optional<View>(*v) : std::nullopt;

@@ -181,7 +181,7 @@ class SimWorld {
                     GroupOptions options = {});
 
   // Facade over process p's membership in g (see api.h); identical to
-  // what the threaded runtime and the UDP host hand out.
+  // what the UDP host hands out.
   GroupHandle group(ProcessId p, GroupId g) {
     return procs_.at(p)->group(g);
   }

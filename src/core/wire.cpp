@@ -348,32 +348,10 @@ util::Bytes BatchFrame::encode() const {
 }
 
 std::size_t BatchFrame::encoded_size_bound(
-    const std::vector<util::SharedBytes>& payloads) {
-  std::size_t total = 16;  // type byte + count varint, rounded up
-  for (const auto& p : payloads) total += p->size() + 4;  // 4: len varint
-  return total;
-}
-
-std::size_t BatchFrame::encoded_size_bound(
     const std::vector<util::BytesView>& payloads) {
-  std::size_t total = 16;
-  for (const auto& p : payloads) total += p.size() + 4;
+  std::size_t total = 16;  // type byte + count varint, rounded up
+  for (const auto& p : payloads) total += p.size() + 4;  // 4: len varint
   return total;
-}
-
-util::Bytes BatchFrame::encode_shared(
-    const std::vector<util::SharedBytes>& payloads) {
-  return encode_shared(payloads, util::Bytes());
-}
-
-util::Bytes BatchFrame::encode_shared(
-    const std::vector<util::SharedBytes>& payloads, util::Bytes reuse) {
-  util::Writer w(std::move(reuse));
-  w.reserve(encoded_size_bound(payloads));
-  w.u8(static_cast<std::uint8_t>(MsgType::kBatch));
-  w.varint(payloads.size());
-  for (const auto& p : payloads) w.bytes(*p);
-  return std::move(w).take();
 }
 
 util::Bytes BatchFrame::encode_shared(

@@ -270,18 +270,12 @@ struct BatchFrame {
   // place the framing overhead is accounted for; pooled callers size
   // their acquire() with it.
   static std::size_t encoded_size_bound(
-      const std::vector<util::SharedBytes>& payloads);
-  static std::size_t encoded_size_bound(
       const std::vector<util::BytesView>& payloads);
-  // Encode-once fan-out path: frames shared payload buffers directly,
-  // without copying them into a BatchFrame first. The `reuse` forms write
-  // into recycled storage (buffer pooling) instead of a fresh allocation.
-  // The BytesView forms serve the relay path: a forwarded slice of an
-  // arrival datagram batches without ever detaching into its own buffer.
-  static util::Bytes encode_shared(
-      const std::vector<util::SharedBytes>& payloads);
-  static util::Bytes encode_shared(
-      const std::vector<util::SharedBytes>& payloads, util::Bytes reuse);
+  // Encode-once fan-out path: frames payload views directly, without
+  // copying them into a BatchFrame first, into `reuse` (recycled pool
+  // storage; an empty Bytes allocates). Views cover both whole shared
+  // encodings and relay forwards — a forwarded slice of an arrival
+  // datagram batches without ever detaching into its own buffer.
   static util::Bytes encode_shared(
       const std::vector<util::BytesView>& payloads, util::Bytes reuse);
   static std::optional<BatchFrame> decode(util::BytesView data);

@@ -97,8 +97,8 @@ struct ChannelStats {
   std::int64_t rto_current_us = 0;
   // Socket-host I/O counters (syscall batching telemetry). Filled by
   // hosts that own a kernel socket (`UdpNode::transport_stats` overlays
-  // them from its UdpTransport, transport-wide); zero under the sim and
-  // threaded hosts, and `Router::total_stats` leaves them untouched.
+  // them from its UdpTransport, transport-wide); zero under the sim
+  // host, and `Router::total_stats` leaves them untouched.
   std::uint64_t tx_syscalls = 0;   // sendmmsg/sendmsg calls
   std::uint64_t rx_syscalls = 0;   // recvmmsg/recvmsg calls (incl. empty drains)
   std::uint64_t tx_datagrams = 0;  // datagrams handed to the kernel

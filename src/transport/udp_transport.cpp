@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <limits>
 
 #include "util/check.h"
@@ -82,6 +83,21 @@ int poll_us(pollfd* fds, nfds_t nfds, sim::Duration timeout_us) {
                                ms, std::numeric_limits<int>::max())));
 #endif
 }
+
+// Completion guard of an async multicast: reports kNotMember from its
+// destructor when the command carrying it is destroyed unexecuted.
+struct SendCompletion {
+  std::function<void(SendResult)> fn;
+  bool fired = false;
+
+  void operator()(SendResult r) {
+    fired = true;
+    if (fn) fn(r);
+  }
+  ~SendCompletion() {
+    if (fn && !fired) fn(SendResult::kNotMember);
+  }
+};
 
 }  // namespace
 
@@ -692,7 +708,7 @@ void UdpNode::add_peer(ProcessId peer, std::uint16_t port) {
 void UdpNode::start() {
   {
     util::MutexLock lock(mutex_);
-    NEWTOP_CHECK(!attached_ && !stopping_);
+    NEWTOP_CHECK(!attached_ && !stopped_);
     attached_ = true;
   }
   next_tick_ = 0;  // first pump ticks immediately, then every interval
@@ -704,7 +720,7 @@ void UdpNode::stop() {
   bool was_attached = false;
   {
     util::MutexLock lock(mutex_);
-    stopping_ = true;
+    stopped_ = true;
     was_attached = attached_;
     attached_ = false;
   }
@@ -714,26 +730,45 @@ void UdpNode::stop() {
   // / fires their completion guards, so a blocked GroupHandle call
   // unblocks (kNotMember) instead of hanging. Destroyed outside the
   // mutex — a completion callback may re-enter this node.
-  std::deque<std::function<void(Endpoint&, sim::Time)>> dropped;
+  std::deque<Command> dropped;
   {
     util::MutexLock lock(mutex_);
     dropped.swap(commands_);
   }
 }
 
-bool UdpNode::enqueue_host_command(HostCommand fn) {
+bool UdpNode::enqueue(Command fn) {
   {
     util::MutexLock lock(mutex_);
-    if (stopping_) return false;
+    if (!attached_) return false;
     commands_.push_back(std::move(fn));
   }
   transport_->wake();
   return true;
 }
 
-void UdpNode::record_host_send(SendResult r) {
+template <typename T, typename Fn>
+T UdpNode::marshal(T fallback, Fn&& fn) {
+  auto prom = std::make_shared<std::promise<T>>();
+  std::future<T> fut = prom->get_future();
+  const bool queued = enqueue(
+      [prom, fn = std::forward<Fn>(fn)](Endpoint& e, sim::Time now) mutable {
+        prom->set_value(fn(e, now));
+      });
+  if (!queued) return fallback;
+  try {
+    return fut.get();
+  } catch (const std::future_error&) {
+    return fallback;  // stop() dropped the command before it ran
+  }
+}
+
+SendResult UdpNode::multicast_now(GroupId g, util::Bytes payload,
+                                  sim::Time now) {
+  const SendResult r = endpoint_->multicast(g, std::move(payload), now);
   util::MutexLock lock(log_mutex_);
   send_counts_.note(r);
+  return r;
 }
 
 void UdpNode::on_rx(ProcessId from, util::BytesView payload, sim::Time now) {
@@ -772,7 +807,7 @@ sim::Time UdpNode::next_deadline(sim::Time now) const {
 
 void UdpNode::create_group(GroupId g, std::vector<ProcessId> members,
                            GroupOptions options) {
-  enqueue_host_command(
+  enqueue(
       [g, members = std::move(members), options](Endpoint& e, sim::Time now) {
         e.create_group(g, members, options, now);
       });
@@ -780,7 +815,7 @@ void UdpNode::create_group(GroupId g, std::vector<ProcessId> members,
 
 void UdpNode::initiate_group(GroupId g, std::vector<ProcessId> members,
                              GroupOptions options) {
-  enqueue_host_command(
+  enqueue(
       [g, members = std::move(members), options](Endpoint& e, sim::Time now) {
         e.initiate_group(g, members, options, now);
       });
@@ -788,10 +823,59 @@ void UdpNode::initiate_group(GroupId g, std::vector<ProcessId> members,
 
 void UdpNode::multicast(GroupId g, util::Bytes payload,
                         std::function<void(SendResult)> done) {
-  async_multicast(g, std::move(payload), std::move(done));
+  // The guard reports kNotMember if the command is dropped here or by
+  // stop(), so `done` runs exactly once either way.
+  auto guard = std::make_shared<SendCompletion>();
+  guard->fn = std::move(done);
+  const bool queued = enqueue(
+      [this, g, payload = std::move(payload), guard](Endpoint&,
+                                                     sim::Time now) mutable {
+        (*guard)(multicast_now(g, std::move(payload), now));
+      });
+  if (!queued) (*guard)(SendResult::kNotMember);
 }
 
 void UdpNode::leave_group(GroupId g) { group_leave(g); }
+
+SendResult UdpNode::group_multicast(GroupId g, util::Bytes payload) {
+  return marshal<SendResult>(
+      SendResult::kNotMember,
+      [this, g, payload = std::move(payload)](Endpoint&,
+                                              sim::Time now) mutable {
+        return multicast_now(g, std::move(payload), now);
+      });
+}
+
+void UdpNode::group_leave(GroupId g) {
+  enqueue([g](Endpoint& e, sim::Time now) { e.leave_group(g, now); });
+}
+
+std::optional<View> UdpNode::group_view(GroupId g) {
+  // The view travels through a capture, not as marshal's result: GCC 12
+  // misreports moving a disengaged std::optional<View> fallback as
+  // maybe-uninitialized (a -Werror break in the TSan build). Once
+  // marshal returns, the command has either run or been destroyed.
+  std::optional<View> view;
+  marshal<bool>(false, [g, &view](Endpoint& e, sim::Time) {
+    if (const View* v = e.view(g)) view = *v;
+    return true;
+  });
+  return view;
+}
+
+RetentionStats UdpNode::group_retention_stats(GroupId g) {
+  return marshal<RetentionStats>(
+      RetentionStats{},
+      [g](Endpoint& e, sim::Time) { return e.retention_stats(g); });
+}
+
+bool UdpNode::group_join(GroupId g, JoinOptions opts) {
+  return marshal<bool>(
+      false,
+      [g, opts = std::move(opts)](Endpoint& e, sim::Time now) mutable {
+        return e.join_group(g, std::move(opts), now);
+      });
+}
 
 SendCounts UdpNode::send_counts() const {
   util::MutexLock lock(log_mutex_);
@@ -802,10 +886,10 @@ ChannelStats UdpNode::transport_stats() {
   ChannelStats s = marshal<ChannelStats>(
       {}, [this](Endpoint&, sim::Time) { return router_->total_stats(); });
   {
-    // A stopped node returns the default snapshot untouched (the marshal
-    // above already fell back to it).
+    // A node that is not running returns the default snapshot untouched
+    // (the marshal above already fell back to it).
     util::MutexLock lock(mutex_);
-    if (stopping_) return s;
+    if (!attached_) return s;
   }
   // Overlay the socket-layer counters (transport-wide: shared by every
   // node on the transport).

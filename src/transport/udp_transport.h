@@ -38,13 +38,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/config.h"
 #include "core/endpoint.h"
-#include "core/group_host_mailbox.h"
 #include "transport/router.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -288,11 +288,15 @@ struct UdpNodeConfig {
   EventSink on_event;
 };
 
-// A complete Newtop process on a UDP transport. Exposes the same
-// GroupHandle/event-sink surface as SimWorld and ThreadedRuntime (the
-// blocking facade comes from MailboxGroupHost, marshalled onto the
-// transport's loop thread).
-class UdpNode : public MailboxGroupHost {
+// A complete Newtop process on a UDP transport, and the real-time host
+// of the library: it exposes the same GroupHandle/event-sink surface as
+// SimWorld, with every call marshalled onto the transport's loop thread.
+//
+// A node accepts commands only between start() and stop(). Outside that
+// window no loop drains its mailbox, so a command is rejected at once:
+// blocking calls return their rejecting default (kNotMember, nullopt, a
+// zeroed snapshot) and an async multicast reports kNotMember via `done`.
+class UdpNode : public GroupHost {
  public:
   // Private-transport form: port 0 = ephemeral; read it with port().
   UdpNode(ProcessId id, std::uint16_t port, UdpNodeConfig config);
@@ -322,7 +326,7 @@ class UdpNode : public MailboxGroupHost {
   // Application commands, marshalled onto the loop thread. The
   // multicast admission verdict is recorded in the node's SendCounts
   // and, when `done` is provided, reported through it from the loop
-  // thread (kNotMember if the node stopped before executing it).
+  // thread — exactly once, kNotMember if the command never ran.
   void create_group(GroupId g, std::vector<ProcessId> members,
                     GroupOptions options = {});
   void initiate_group(GroupId g, std::vector<ProcessId> members,
@@ -332,8 +336,9 @@ class UdpNode : public MailboxGroupHost {
   void leave_group(GroupId g);
 
   // Facade over this node's membership in g (see api.h). multicast /
-  // view / retention_stats marshal onto the loop thread and block for
-  // the result — do not call them from the loop thread itself.
+  // view / retention_stats / join marshal onto the loop thread and block
+  // for the result — do not call them from the loop thread itself (an
+  // event sink runs there).
   GroupHandle group(GroupId g) { return GroupHandle(this, g); }
 
   // Thread-safe observation snapshots.
@@ -347,17 +352,26 @@ class UdpNode : public MailboxGroupHost {
   // socket-layer io counters (tx/rx syscalls, datagrams, copies,
   // wakeups; transport-wide when the transport is shared). Marshalled
   // onto the loop thread like the GroupHandle calls — do not call from
-  // the loop thread itself; returns a default snapshot if the node
-  // stopped first.
+  // the loop thread itself; returns a default snapshot when the node is
+  // not running.
   ChannelStats transport_stats();
 
   // Protocol-layer counter snapshot (deliveries, nulls, relay traffic —
   // see EndpointStats). Marshalled onto the loop thread; returns a
-  // default snapshot if the node stopped first.
+  // default snapshot when the node is not running.
   EndpointStats endpoint_stats();
 
  private:
   friend class UdpTransport;
+
+  using Command = std::function<void(Endpoint&, sim::Time)>;
+
+  // GroupHost (the GroupHandle facade).
+  SendResult group_multicast(GroupId g, util::Bytes payload) override;
+  void group_leave(GroupId g) override;
+  std::optional<View> group_view(GroupId g) override;
+  RetentionStats group_retention_stats(GroupId g) override;
+  bool group_join(GroupId g, JoinOptions opts) override;
 
   // Event-loop-thread entry points (called by UdpTransport).
   void on_rx(ProcessId from, util::BytesView payload, sim::Time now);
@@ -367,9 +381,18 @@ class UdpNode : public MailboxGroupHost {
 
   void init(UdpNodeConfig&& config);
   sim::Time now_us() const;
-  // MailboxGroupHost: the transport loop thread is the owner.
-  bool enqueue_host_command(HostCommand fn) override EXCLUDES(mutex_);
-  void record_host_send(SendResult r) override EXCLUDES(log_mutex_);
+  // Queues fn for the loop thread; false (fn dropped) unless the node is
+  // between start() and stop(). Dropped commands are destroyed outside
+  // mutex_: their guards and promises run user-visible callbacks.
+  bool enqueue(Command fn) EXCLUDES(mutex_);
+  // Marshals a blocking call onto the loop thread: enqueues `fn`, blocks
+  // on its promise, and returns `fallback` when the command was dropped
+  // or destroyed unexecuted by stop() (a broken promise).
+  template <typename T, typename Fn>
+  T marshal(T fallback, Fn&& fn);
+  // Loop thread: multicasts and tallies the verdict in send_counts_.
+  SendResult multicast_now(GroupId g, util::Bytes payload, sim::Time now)
+      EXCLUDES(log_mutex_);
 
   ProcessId id_;
   UdpNodeConfig cfg_;
@@ -381,13 +404,14 @@ class UdpNode : public MailboxGroupHost {
   sim::Time next_tick_ = 0;  // loop-thread-only once attached
 
   mutable util::Mutex mutex_;
-  std::deque<std::function<void(Endpoint&, sim::Time)>> commands_
-      GUARDED_BY(mutex_);
+  std::deque<Command> commands_ GUARDED_BY(mutex_);
   // Loop-thread-only: pump() swaps commands_ into this and runs it, so
   // the two deques trade storage instead of allocating per call.
-  std::deque<std::function<void(Endpoint&, sim::Time)>> running_;
-  bool stopping_ GUARDED_BY(mutex_) = false;
+  std::deque<Command> running_;
+  // Commands are accepted while attached_ (start() to stop()); stopped_
+  // makes stop() final.
   bool attached_ GUARDED_BY(mutex_) = false;
+  bool stopped_ GUARDED_BY(mutex_) = false;
 
   mutable util::Mutex log_mutex_;
   std::vector<Delivery> deliveries_ GUARDED_BY(log_mutex_);

@@ -17,9 +17,10 @@
 // outlive the host that created them.
 //
 // Thread safety: all entry points lock one mutex. Buffers routinely
-// travel between threads (a mailbox item is freed by the receiving
-// worker; an encode buffer is freed when the last peer acks), so release
-// from any thread is the normal case, not the exception.
+// travel between threads (a delivered payload is freed by whichever
+// thread drops its last view; an encode buffer is freed when the last
+// peer acks), so release from any thread is the normal case, not the
+// exception.
 #pragma once
 
 #include <algorithm>

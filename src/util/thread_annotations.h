@@ -1,7 +1,7 @@
 // Clang Thread Safety Analysis annotation macros.
 //
-// The concurrent hosts (threaded runtime mailboxes, the shared UDP
-// transport, the buffer pool) each carry a hand-reasoned locking
+// The concurrent components (the UDP host's loop, registry and command
+// mailboxes, the buffer pool) each carry a hand-reasoned locking
 // discipline; these macros let the compiler check it. Under Clang with
 // -Wthread-safety every GUARDED_BY field access and REQUIRES call is
 // verified at compile time; under any other compiler (or without the

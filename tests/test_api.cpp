@@ -1,8 +1,8 @@
 // Unified application API (core/api.h): the typed event stream,
 // SendResult semantics and the GroupHandle facade
-// over the sim host. Host-specific handle behaviour is covered in
-// test_runtime.cpp (threads) and test_udp.cpp (sockets); these tests pin
-// the contract itself.
+// over the sim host. Real-time handle behaviour is covered in
+// test_udp.cpp (threads and sockets); these tests pin the contract
+// itself.
 #include <gtest/gtest.h>
 
 #include <memory>

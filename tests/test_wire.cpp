@@ -205,9 +205,9 @@ TEST(Wire, BatchFrameEncodeSharedMatchesEncode) {
   a.counter = 7;
   BatchFrame b;
   b.payloads = {a.encode(), a.encode()};
-  const std::vector<util::SharedBytes> shared = {util::share(a.encode()),
-                                                 util::share(a.encode())};
-  EXPECT_EQ(b.encode(), BatchFrame::encode_shared(shared));
+  const std::vector<util::BytesView> shared = {util::share(a.encode()),
+                                               util::share(a.encode())};
+  EXPECT_EQ(b.encode(), BatchFrame::encode_shared(shared, util::Bytes()));
 }
 
 TEST(Wire, BatchFrameEmptyRoundTrips) {
