@@ -49,10 +49,6 @@ void print_event(ProcessId p, const Event& ev) {
       std::printf("  [event@P%u] send window reopened in g%u (%zu slots)\n",
                   p, e.group, e.available);
     }
-    void operator()(const RetentionPressureEvent& e) const {
-      std::printf("  [event@P%u] retention pressure in g%u: %zu pinned\n",
-                  p, e.group, e.stats.pinned_bytes);
-    }
     void operator()(const StateTransferEvent& e) const {
       const char* phase =
           e.phase == StateTransferEvent::Phase::kOffered      ? "offered"

@@ -8,7 +8,6 @@ randomness — and dependencies point strictly down the layer diagram:
 
     application (tests, bench, examples)
         hosts        transport/udp_transport.*, core/sim_host.*
-                     (and anything under runtime/)
         sim          sim/ (discrete-event framework; sim/time.h is
                      vocabulary usable by everyone)
         transport    transport/router.h, transport/fifo_channel.h
@@ -72,7 +71,6 @@ DIR_LAYERS = {
     "baselines": ENGINE,
     "transport": TRANSPORT,
     "sim": SIM,
-    "runtime": HOSTS,
 }
 
 # transport/ splits: the Router/fifo_channel library is the transport

@@ -40,7 +40,9 @@ CLEAN = {
     "core/engine.h": '#pragma once\n#include "util/codec.h"\n',
     "core/engine.cpp": '#include "core/engine.h"\n#include <map>\n',
     "transport/chan.h": '#pragma once\n#include "core/engine.h"\n',
-    "runtime/host.cpp": '#include "transport/chan.h"\n#include <thread>\n',
+    "transport/udp_transport.cpp": (
+        '#include "transport/chan.h"\n#include <thread>\n'
+    ),
 }
 
 
@@ -50,12 +52,12 @@ def main() -> int:
 
     # 2. Upward include: engine reaching into a host layer.
     bad = dict(CLEAN)
-    bad["core/engine.cpp"] = '#include "runtime/host_api.h"\n'
-    bad["runtime/host_api.h"] = "#pragma once\n"
+    bad["core/engine.cpp"] = '#include "transport/udp_transport.h"\n'
+    bad["transport/udp_transport.h"] = "#pragma once\n"
     errs = run_fixture(bad)
     expect(
         any("dependencies must point down" in e for e in errs),
-        "engine->runtime include rejected",
+        "engine->host include rejected",
     )
 
     # 3. Banned header in an engine TU.
@@ -96,6 +98,14 @@ def main() -> int:
     expect(
         any("unclassifiable" in e for e in errs),
         "unclassifiable file rejected",
+    )
+    # ... including a reintroduced runtime/ tree (no layer rule maps it).
+    bad = dict(CLEAN)
+    bad["runtime/host.cpp"] = '#include "transport/chan.h"\n'
+    errs = run_fixture(bad)
+    expect(
+        any("unclassifiable" in e and "runtime/host.cpp" in e for e in errs),
+        "runtime/ file rejected as unclassifiable",
     )
 
     # 7. Unresolvable project include is an error (fail-closed).

@@ -134,16 +134,6 @@ struct SendWindowEvent {
   std::size_t available = 0;
 };
 
-// The engine's retained bytes for a group crossed
-// Config::retention_pressure_bytes (edge-triggered; re-armed once the
-// footprint falls back under the threshold). A latency-insensitive
-// consumer reacting to this can switch the group to kPooledCopy
-// delivery, drop its own payload references, or simply observe the bloat.
-struct RetentionPressureEvent {
-  GroupId group = 0;
-  RetentionStats stats;
-};
-
 // Progress of a joiner's state transfer (docs/STATE_TRANSFER.md).
 // Emitted at the *joiner*:
 //   kOffered    — the JoinWelcome arrived: the joiner holds the agreed
@@ -175,11 +165,12 @@ struct MemberJoinedEvent {
   View view;                      // the view including it
 };
 
-// The one stream every engine output flows through. Order within the
-// variant is the wire-stable event-kind id; append only.
+// The one stream every engine output flows through. Events never leave
+// the process, so the order of the alternatives is not on any wire;
+// dispatch on the type (std::get_if / std::visit), not on index().
 using Event = std::variant<DeliveryEvent, ViewChangeEvent, FormationEvent,
-                           SendWindowEvent, RetentionPressureEvent,
-                           StateTransferEvent, MemberJoinedEvent>;
+                           SendWindowEvent, StateTransferEvent,
+                           MemberJoinedEvent>;
 
 // Installed via EndpointHooks::on_event (hosts forward it, typically
 // after recording). Called synchronously from the engine; may re-enter
@@ -198,10 +189,10 @@ using EventSink = std::function<void(const Event&)>;
 // event sink running on that same owner thread.
 // How a process joins a long-lived group (GroupHandle::join,
 // Endpoint::join_group). `contacts` are incumbents to ask, tried in
-// order on retry (Config::join_retry); `options` supplies the *local*
-// fields — delivery mode and the snapshot hooks — while the group-wide
-// agreement fields (mode, guarantee, dissemination, ...) are overwritten
-// by the values carried in the JoinWelcome.
+// order on retry (after 400 ms of silence); `options` supplies the
+// *local* fields — delivery mode and the snapshot hooks — while the
+// group-wide agreement fields (mode, guarantee, dissemination, ...) are
+// overwritten by the values carried in the JoinWelcome.
 struct JoinOptions {
   std::vector<ProcessId> contacts;
   GroupOptions options;

@@ -45,36 +45,11 @@ struct Config {
   // behaviour).
   std::size_t max_pending_sends = 0;
 
-  // Retention pressure signal: emit a RetentionPressureEvent when a
-  // group's pinned retention bytes (see RetentionStats) reach this
-  // threshold. Edge-triggered — re-armed once the footprint falls back
-  // under it. 0 disables the signal.
-  std::size_t retention_pressure_bytes = 0;
-
-  // Retention compaction: a retained/held/queued slice whose backing
-  // buffer is more than this factor larger than the slice itself is
-  // copied into a right-sized buffer on the next tick, releasing the
-  // (possibly multi-KB) datagram it would otherwise pin until stability.
-  // <= 0 disables compaction.
-  double retention_compact_ratio = 2.0;
-
-  // Joiner state transfer (docs/STATE_TRANSFER.md). A joiner that has
-  // sent a JoinRequest (or lost its transfer source mid-snapshot)
-  // re-requests after this much silence, cycling through its contacts
-  // (pre-welcome) or asking the current view's source (post-welcome).
-  sim::Duration join_retry = 400 * sim::kMillisecond;
-
-  // Snapshot chunking: the transfer source slices the provider's bytes
-  // into SnapshotFrames of at most this payload size, riding the
-  // reliable FIFO channel's ARQ (ordered, no loss) one chunk per frame.
+  // Joiner state transfer (docs/STATE_TRANSFER.md), snapshot chunking:
+  // the transfer source slices the provider's bytes into SnapshotFrames
+  // of at most this payload size, riding the reliable FIFO channel's ARQ
+  // (ordered, no loss) one chunk per frame.
   std::size_t snapshot_chunk_bytes = 32 * 1024;
-
-  // Pre-welcome stash bound: a joiner buffers raw group traffic that
-  // arrives before its JoinWelcome (it cannot order it yet). Beyond this
-  // many buffered datagrams the oldest are dropped — safe, because
-  // anything ordered is recoverable from incumbent retention and
-  // anything else is re-sent by the protocol's own timers.
-  std::size_t join_stash_max = 4096;
 };
 
 }  // namespace newtop

@@ -16,6 +16,11 @@ namespace newtop {
 
 namespace {
 
+// Retention compaction threshold (see "Retention compaction" below): a
+// long-lived slice is copied out once its backing buffer is more than
+// this factor larger than the slice.
+constexpr double kRetentionCompactRatio = 2.0;
+
 std::vector<ProcessId> sorted_unique(std::vector<ProcessId> v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
@@ -270,13 +275,6 @@ void Endpoint::on_tick(Time now) {
   // tick: long-lived enough to be worth copying out of an oversized
   // backing buffer.
   compact_retention();
-  // Post-compaction footprint is the honest pressure signal: pinned
-  // bytes that compaction could not reclaim.
-  if (cfg_.retention_pressure_bytes > 0) {
-    for (GroupId g : ids) {
-      if (GroupState* gs = find_group(g)) check_retention_pressure(*gs);
-    }
-  }
   pump_sends(now);
   tick_ids_scratch_ = std::move(ids);
 }
@@ -478,9 +476,7 @@ void Endpoint::relay_resend(ProcessId to, const util::BytesView& slice) {
     hooks_.send_relay(to, slice);
     return;
   }
-  util::Bytes copy = obtain_buffer(slice.size());
-  copy.assign(slice.data(), slice.data() + slice.size());
-  hooks_.send(to, share_buffer(std::move(copy)));
+  hooks_.send(to, pooled_copy(slice));
 }
 
 bool Endpoint::relay_skip(const GroupState& gs, ProcessId p) const {
@@ -543,16 +539,7 @@ void Endpoint::handle_relay(ProcessId from, const RelayFrame& f,
     // view-install floor got there first), the hole is empty — jump.
     if (f.seq > seen && inner->counter > gs->plane->rv(f.origin) + 1) {
       gs->last_activity[f.origin] = now;
-      Counter& asked = gs->relay_repair_asked[f.origin];
-      if (asked != seen + 1) {  // one request per distinct gap front
-        asked = seen + 1;
-        RelayRepairMsg r;
-        r.group = gs->id;
-        r.emitter = f.origin;
-        r.have = gs->plane->rv(f.origin);
-        hooks_.send(f.origin, share_buffer(r.encode(obtain_buffer(24))));
-        ++stats_.relay_repairs_requested;
-      }
+      request_relay_repair(*gs, f.origin, seen);
       return;
     }
     if (f.seq > seen) seen = f.seq;
@@ -580,16 +567,7 @@ void Endpoint::handle_relay(ProcessId from, const RelayFrame& f,
     // the frame — repair re-sends cover it — but still ask for the
     // front; in-order fills are the only way to catch up from here.
     ++stats_.relay_drops;
-    Counter& asked = gs->relay_repair_asked[f.origin];
-    if (asked != seen + 1) {
-      asked = seen + 1;
-      RelayRepairMsg r;
-      r.group = gs->id;
-      r.emitter = f.origin;
-      r.have = gs->plane->rv(f.origin);
-      hooks_.send(f.origin, share_buffer(r.encode(obtain_buffer(24))));
-      ++stats_.relay_repairs_requested;
-    }
+    request_relay_repair(*gs, f.origin, seen);
     return;
   }
   auto& stash = gs->relay_stash[f.origin];
@@ -635,6 +613,19 @@ void Endpoint::handle_relay_repair(ProcessId from, const RelayRepairMsg& msg,
   if (sent > 0) ++stats_.relay_repairs_served;
 }
 
+void Endpoint::request_relay_repair(GroupState& gs, ProcessId origin,
+                                    Counter seen) {
+  Counter& asked = gs.relay_repair_asked[origin];
+  if (asked == seen + 1) return;  // one request per distinct gap front
+  asked = seen + 1;
+  RelayRepairMsg r;
+  r.group = gs.id;
+  r.emitter = origin;
+  r.have = gs.plane->rv(origin);
+  hooks_.send(origin, share_buffer(r.encode(obtain_buffer(24))));
+  ++stats_.relay_repairs_requested;
+}
+
 void Endpoint::relay_drain_stash(GroupId g, ProcessId origin, Time now) {
   GroupState* gs = find_group(g);
   while (gs != nullptr) {
@@ -658,19 +649,8 @@ void Endpoint::relay_drain_stash(GroupId g, ProcessId origin, Time now) {
         continue;
       }
       // Genuinely gapped: ask the origin to re-send its retained stream
-      // above our receive vector, re-wrapped at the original seqs. One
-      // request per distinct front (re-armed as fills advance it, which
-      // also covers capped repair bursts that fill only part way).
-      Counter& asked = gs->relay_repair_asked[origin];
-      if (asked != seen + 1) {
-        asked = seen + 1;
-        RelayRepairMsg r;
-        r.group = gs->id;
-        r.emitter = origin;
-        r.have = gs->plane->rv(origin);
-        hooks_.send(origin, share_buffer(r.encode(obtain_buffer(24))));
-        ++stats_.relay_repairs_requested;
-      }
+      // above our receive vector, re-wrapped at the original seqs.
+      request_relay_repair(*gs, origin, seen);
       return;
     }
     seen = mit->first;
@@ -925,28 +905,16 @@ void Endpoint::emit_event(const Event& ev) {
   hooks_.on_event(ev);
 }
 
-void Endpoint::check_retention_pressure(GroupState& gs) {
-  if (cfg_.retention_pressure_bytes == 0) return;
-  const RetentionStats rs = retention_stats(gs.id);
-  if (rs.pinned_bytes >= cfg_.retention_pressure_bytes) {
-    if (!gs.pressure_signaled) {
-      gs.pressure_signaled = true;
-      ++stats_.retention_pressure_events;
-      emit_event(Event(RetentionPressureEvent{gs.id, rs}));
-    }
-  } else {
-    gs.pressure_signaled = false;  // re-arm
-  }
+util::SharedBytes Endpoint::pooled_copy(const util::BytesView& v) {
+  util::Bytes b = obtain_buffer(v.size());
+  b.assign(v.begin(), v.end());
+  return share_buffer(std::move(b));
 }
 
 void Endpoint::detach_arrival(OrderedMsg& m, bool copy_raw) {
-  // Drawn from the host pool when one is installed, plain heap copies
-  // otherwise.
   auto copy = [&](const util::BytesView& v) -> util::BytesView {
     ++stats_.arrival_detach_copies;
-    util::Bytes b = obtain_buffer(v.size());
-    b.assign(v.begin(), v.end());
-    return util::BytesView(share_buffer(std::move(b)));
+    return util::BytesView(pooled_copy(v));
   };
   // payload is (normally) a sub-slice of raw; preserve the sharing so the
   // detached message still pins exactly one right-sized buffer.
@@ -1081,14 +1049,13 @@ void Endpoint::notify_send_windows() {
 // free at receive time, but a liability once the slice is long-lived: a
 // small sub-message keeps its whole (possibly multi-KB) BatchFrame alive
 // until stability discards it. The per-tick compaction pass copies any
-// slice whose backing buffer exceeds retention_compact_ratio x its own
+// slice whose backing buffer exceeds kRetentionCompactRatio x its own
 // size into a right-sized (pooled) buffer, bounding pinned bytes to a
 // constant factor of the bytes actually referenced.
 // ---------------------------------------------------------------------
 
 bool Endpoint::should_compact(const util::BytesView& v,
                               long own_refs) const {
-  if (cfg_.retention_compact_ratio <= 0) return false;
   const util::SharedBytes& buf = v.buffer();
   if (buf == nullptr || v.empty()) return false;
   // Copying a slice only frees memory if nothing else references the
@@ -1101,14 +1068,12 @@ bool Endpoint::should_compact(const util::BytesView& v,
   // threads only delay compaction by one tick (conservative direction).
   if (buf.use_count() > own_refs) return false;
   return static_cast<double>(buf->size()) >
-         cfg_.retention_compact_ratio * static_cast<double>(v.size());
+         kRetentionCompactRatio * static_cast<double>(v.size());
 }
 
 util::BytesView Endpoint::compact_view(const util::BytesView& v) {
   ++stats_.retention_compactions;
-  util::Bytes b = obtain_buffer(v.size());
-  b.assign(v.begin(), v.end());
-  return util::BytesView(share_buffer(std::move(b)));
+  return util::BytesView(pooled_copy(v));
 }
 
 void Endpoint::compact_msg(OrderedMsg& m) {
@@ -1128,7 +1093,6 @@ void Endpoint::compact_msg(OrderedMsg& m) {
 }
 
 void Endpoint::compact_retention() {
-  if (cfg_.retention_compact_ratio <= 0) return;
   for (auto& [gid, gs] : groups_) {
     if (gs.defunct) continue;
     for (auto& [p, msgs] : gs.retained) {
@@ -1151,7 +1115,7 @@ void Endpoint::compact_retention() {
         }
         if (buf != nullptr && used > 0 && buf.use_count() <= run &&
             static_cast<double>(buf->size()) >
-                cfg_.retention_compact_ratio * static_cast<double>(used)) {
+                kRetentionCompactRatio * static_cast<double>(used)) {
           for (; it != run_end; ++it) it->second = compact_view(it->second);
         } else {
           it = run_end;

@@ -60,7 +60,7 @@ struct EndpointHooks {
   // and falls back to `send`.
   std::function<void(ProcessId to, util::BytesView data)> send_relay;
   // The unified event sink: deliveries, view changes, formation
-  // outcomes, send-window reopenings and retention-pressure signals.
+  // outcomes, send-window reopenings and state-transfer progress.
   EventSink on_event;
   // Vote on an invitation to form a group (§5.3 step 2). Default: yes.
   std::function<bool(const FormInviteMsg&)> accept_invite;
@@ -120,7 +120,7 @@ class Endpoint : private PlaneHost {
   // post-stamp deliveries before its first normal delivery. Returns false
   // if the request cannot even be sent (no contacts, already a member or
   // already joining); progress arrives as StateTransferEvent /
-  // MemberJoinedEvent. Retries ride on_tick (Config::join_retry).
+  // MemberJoinedEvent. Retries ride on_tick (kJoinRetry).
   bool join_group(GroupId g, JoinOptions opts, Time now);
 
   // ------------------------------------------------------------------
@@ -220,8 +220,6 @@ class Endpoint : private PlaneHost {
     // is owed exactly once per closed->open transition).
     std::size_t pending_app = 0;
     bool window_closed = false;
-    // Retention-pressure edge detector (Config::retention_pressure_bytes).
-    bool pressure_signaled = false;
     // Set when the application leaves the group while a handler is on the
     // stack: the state is skipped by all lookups and erased once the
     // outermost handler returns (std::map erase would otherwise invalidate
@@ -274,7 +272,7 @@ class Endpoint : private PlaneHost {
     std::vector<std::uint8_t> snapshot;  // reassembled chunks
     std::uint64_t chunks = 0;
     // Raw datagram copies that arrived before the welcome (bounded by
-    // Config::join_stash_max; overflow drops the oldest).
+    // kJoinStashMax; overflow drops the oldest).
     std::deque<std::pair<ProcessId, util::Bytes>> prewelcome;
     // Ordered deliveries past the stamp, held until the snapshot
     // installs; payloads are detached copies (nothing pins arrivals).
@@ -343,6 +341,9 @@ class Endpoint : private PlaneHost {
                     const util::BytesView& frame_raw, Time now);
   // Re-sends a received slice (send_relay hook; copy fallback).
   void relay_resend(ProcessId to, const util::BytesView& slice);
+  // Asks `origin` to re-send its retained stream above our receive
+  // vector, once per distinct gap front `seen + 1`.
+  void request_relay_repair(GroupState& gs, ProcessId origin, Counter seen);
   // True for hops the overlay must route around (suspected, in a pending
   // exclusion wave, or announced Leave).
   bool relay_skip(const GroupState& gs, ProcessId p) const;
@@ -366,14 +367,14 @@ class Endpoint : private PlaneHost {
   // Emits the owed SendWindowEvent for every group whose window
   // transitioned closed -> open (end of pump_sends).
   void notify_send_windows();
-  // Edge-triggered retention-pressure check (per tick, post-compaction).
-  void check_retention_pressure(GroupState& gs);
   // kPooledCopy delivery: re-backs an accepted message with right-sized
   // buffers (from the host pool when one is installed, plain copies
   // otherwise) so the arrival datagram is released when its handling
   // returns. copy_raw is false for self-emitted messages, whose raw
   // encoding the transport pins anyway.
   void detach_arrival(OrderedMsg& m, bool copy_raw);
+  // Copies `v` into a right-sized buffer, pooled when a pool is installed.
+  util::SharedBytes pooled_copy(const util::BytesView& v);
 
   // ---- Retention compaction (tentpole: bound pinned bytes) ------------
   bool should_compact(const util::BytesView& v, long own_refs) const;

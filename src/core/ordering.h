@@ -55,14 +55,13 @@ struct EndpointStats {
   std::uint64_t fwds_sent = 0;
   std::uint64_t echoes_sequenced = 0;    // forwards we sequenced for others
   // Retention compaction: long-lived slices copied out of oversized
-  // backing buffers (see Config::retention_compact_ratio).
+  // backing buffers (see kRetentionCompactRatio in endpoint.cpp).
   std::uint64_t retention_compactions = 0;
   // Unified-API counters: backpressure rejections
-  // (Config::max_pending_sends), window-reopen events, retention-pressure
-  // events and arrival-detach copies made by kPooledCopy delivery.
+  // (Config::max_pending_sends), window-reopen events and arrival-detach
+  // copies made by kPooledCopy delivery.
   std::uint64_t sends_rejected = 0;
   std::uint64_t send_window_events = 0;
-  std::uint64_t retention_pressure_events = 0;
   std::uint64_t arrival_detach_copies = 0;
   // Dissemination overlay (core/dissemination.h): multicasts fanned out
   // through a ring/tree plan, frames forwarded on other origins' behalf,

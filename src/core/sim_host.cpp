@@ -76,8 +76,6 @@ void SimProcess::on_event(const Event& ev) {
     formations.push_back(FormationRecord{sim_.now(), f->group, f->outcome});
   } else if (const auto* s = std::get_if<SendWindowEvent>(&ev)) {
     send_windows.push_back(SendWindowRecord{sim_.now(), *s});
-  } else if (const auto* r = std::get_if<RetentionPressureEvent>(&ev)) {
-    retention_pressure.push_back(RetentionPressureRecord{sim_.now(), *r});
   } else if (const auto* st = std::get_if<StateTransferEvent>(&ev)) {
     state_transfers.push_back(StateTransferRecord{sim_.now(), *st});
   } else if (const auto* mj = std::get_if<MemberJoinedEvent>(&ev)) {
@@ -118,7 +116,7 @@ void SimProcess::on_datagram(sim::NodeId from, util::SharedBytes data) {
   router_->on_datagram(from, util::BytesView(std::move(data)), sim_.now());
   // Flush anything the endpoint emitted in response — those data packets
   // piggyback (suppress) the ack this datagram deferred. A standalone
-  // ack for a quiet receiver waits out ChannelConfig::ack_delay and goes
+  // ack for a quiet receiver waits out the delayed-ack window and goes
   // with the next router tick instead.
   schedule_flush();
 }

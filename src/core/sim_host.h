@@ -52,11 +52,6 @@ struct SendWindowRecord {
   SendWindowEvent event;
 };
 
-struct RetentionPressureRecord {
-  sim::Time at = 0;
-  RetentionPressureEvent event;
-};
-
 struct StateTransferRecord {
   sim::Time at = 0;
   StateTransferEvent event;
@@ -122,7 +117,6 @@ class SimProcess : public GroupHost {
   std::vector<ViewRecord> views;
   std::vector<FormationRecord> formations;
   std::vector<SendWindowRecord> send_windows;
-  std::vector<RetentionPressureRecord> retention_pressure;
   std::vector<StateTransferRecord> state_transfers;
   std::vector<MemberJoinedRecord> member_joins;
 

@@ -19,7 +19,7 @@
 // post-S deliveries reproduce the incumbents' state and delivery
 // sequence byte for byte. Failure handling is retry-shaped: a lost
 // request, a crashed contact or a source dying mid-snapshot all resolve
-// by the joiner re-requesting (Config::join_retry) and being re-served
+// by the joiner re-requesting (kJoinRetry) and being re-served
 // at a fresh stamp.
 #include "core/state_transfer.h"
 
@@ -35,6 +35,14 @@ namespace newtop {
 namespace {
 
 using state_transfer::Stamp;
+
+// A joiner re-requests after this much silence, cycling through its
+// contacts (pre-welcome) or asking the current view's source (post).
+constexpr sim::Duration kJoinRetry = 400 * sim::kMillisecond;
+
+// Raw datagrams a joiner buffers before its JoinWelcome (it cannot order
+// them yet); beyond this the oldest are dropped (see stash_prewelcome).
+constexpr std::size_t kJoinStashMax = 4096;
 
 std::vector<ProcessId> sorted_unique_members(std::vector<ProcessId> v) {
   std::sort(v.begin(), v.end());
@@ -95,7 +103,7 @@ void Endpoint::tick_join(Time now) {
   for (GroupId g : ids) {
     auto it = joining_.find(g);
     if (it == joining_.end()) continue;
-    if (now - it->second.last_request >= cfg_.join_retry) {
+    if (now - it->second.last_request >= kJoinRetry) {
       send_join_request(g, it->second, now);
     }
   }
@@ -481,8 +489,7 @@ bool Endpoint::stash_prewelcome(ProcessId from, GroupId g,
     return false;
   }
   JoinState& js = jit->second;
-  if (cfg_.join_stash_max > 0 &&
-      js.prewelcome.size() >= cfg_.join_stash_max) {
+  if (js.prewelcome.size() >= kJoinStashMax) {
     // Bounded: drop the oldest. Anything dropped that matters is either
     // covered by the snapshot or re-sent at the announce / serve.
     js.prewelcome.pop_front();

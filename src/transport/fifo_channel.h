@@ -35,30 +35,29 @@ using sim::Time;
 // packet is stamped with its transmit time, acks echo the stamp, and a
 // per-peer Jacobson/Karn estimator turns the echoes into SRTT/RTTVAR.
 // Packets start from rto = srtt + 4*rttvar clamped to [rto_min, rto_max],
-// and the delayed-ack window follows clamp(srtt/4, ack_delay_min,
-// ack_delay_max). `rto` and `ack_delay` apply only until a channel's
-// first RTT sample arrives.
+// and the delayed-ack window follows clamp(srtt/4, kAckDelayMin,
+// kAckDelayMax). `rto` and kAckDelay apply only until a channel's first
+// RTT sample arrives.
+
+// Per-packet RTO backoff: each retransmission multiplies the packet's
+// timeout by this factor, capped at max(rto_max, rto), so a partitioned
+// path sees geometrically fewer retransmissions instead of a full-window
+// burst every rto. Pinning rto_min = rto_max = rto keeps it flat.
+inline constexpr int kRtoBackoff = 2;
+
+// Delayed cumulative acks: an owed ack waits up to this window for
+// outgoing data to piggyback it, or for more data to share it (a burst of
+// n datagrams costs one kAck, not n). Well below rto, so the sender does
+// not retransmit spuriously; fast paths ack sooner, slow paths later.
+inline constexpr Duration kAckDelay = 3 * sim::kMillisecond;
+inline constexpr Duration kAckDelayMin = 500 * sim::kMicrosecond;
+inline constexpr Duration kAckDelayMax = 20 * sim::kMillisecond;
+
 struct ChannelConfig {
   std::size_t window = 64;           // max in-flight unacked packets
   Duration rto = 20 * sim::kMillisecond;  // timeout before the first sample
-  // Per-packet RTO backoff: each retransmission of a packet multiplies
-  // its timeout by this factor (capped at rto_max), so a congested or
-  // partitioned path sees geometrically fewer retransmissions instead of
-  // a full-window burst every rto. 1.0 keeps each packet's timeout flat.
-  double rto_backoff = 2.0;
   Duration rto_max = 8 * 20 * sim::kMillisecond;
   Duration rto_min = 5 * sim::kMillisecond;
-  // Delayed cumulative acks: an ack owed to a peer may wait this long
-  // for an outgoing data packet to piggyback it, or for more data to
-  // arrive and share one cumulative ack (a burst of n datagrams then
-  // costs one kAck, not n). Must stay well below rto or the sender
-  // retransmits spuriously. 0 acks at the next flush/tick boundary.
-  // This is the window until the estimator has a sample; from then on
-  // it is clamp(srtt/4, ack_delay_min, ack_delay_max) — fast paths ack
-  // sooner, slow paths stop provoking spurious retransmissions.
-  Duration ack_delay = 3 * sim::kMillisecond;
-  Duration ack_delay_min = 500 * sim::kMicrosecond;
-  Duration ack_delay_max = 20 * sim::kMillisecond;
   std::size_t max_reorder = 4096;    // receiver out-of-order buffer cap
   // Router batching: payloads buffered per peer between flushes are
   // coalesced into one BatchFrame datagram, at most this many per frame.
@@ -298,10 +297,7 @@ class ChannelSender {
   };
 
   Duration backed_off(Duration rto) const {
-    if (config_.rto_backoff <= 1.0) return rto;
-    const auto next =
-        static_cast<Duration>(static_cast<double>(rto) * config_.rto_backoff);
-    return std::min(next, std::max(config_.rto_max, config_.rto));
+    return std::min(rto * kRtoBackoff, std::max(config_.rto_max, config_.rto));
   }
 
   void take_sample(const TimingStamp& echo, Time now, ChannelStats& stats) {

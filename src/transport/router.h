@@ -119,11 +119,12 @@ class Router {
   // (hosts `share` the receive buffer once); the channel payload handed
   // upward is a sub-slice of it, not a copy.
   void on_datagram(PeerId from, util::BytesView datagram, Time now) {
+    // `from` is unauthenticated on a socket host: channel state for it is
+    // created only once a frame decodes, so garbage allocates nothing.
     const auto kind = datagram.empty()
                           ? static_cast<PacketKind>(0xff)
                           : static_cast<PacketKind>(datagram[0] &
                                                     ~kChannelTimingFlag);
-    auto& peer = peers(from);
     if (kind == PacketKind::kData) {
       auto frame = ChannelDataFrame::decode(datagram);
       if (!frame) {
@@ -131,6 +132,7 @@ class Router {
                         from);
         return;
       }
+      auto& peer = peers(from);
       handle_ack(peer, from, frame->cum_ack, frame->echo, now);
       // Scratch steal/return: the common case reuses one vector's
       // capacity across datagrams; a re-entrant call just sees a fresh
@@ -154,7 +156,7 @@ class Router {
     } else if (kind == PacketKind::kAck) {
       auto frame = ChannelAckFrame::decode(datagram);
       if (!frame) return;
-      handle_ack(peer, from, frame->cum_ack, frame->echo, now);
+      handle_ack(peers(from), from, frame->cum_ack, frame->echo, now);
     } else {
       NEWTOP_LOG_WARN("router %u: unknown packet kind from %u", self_, from);
     }
@@ -272,15 +274,13 @@ class Router {
     return AckInfo(peer.receiver.cum_ack(), peer.receiver.pending_echo());
   }
 
-  // The delayed-ack window towards this peer: config_.ack_delay until
-  // the channel has an RTT estimate, then srtt/4 (clamped) so fast paths
-  // ack sooner and slow paths stop provoking spurious retransmissions.
-  Duration ack_delay(const Peer& peer) const {
-    if (!peer.sender.rtt().valid()) return config_.ack_delay;
-    // Guard the pair so a misconfigured max below min cannot hand
-    // std::clamp an inverted range (the floor wins).
-    return std::clamp(peer.sender.rtt().srtt() / 4, config_.ack_delay_min,
-                      std::max(config_.ack_delay_max, config_.ack_delay_min));
+  // The delayed-ack window towards this peer: kAckDelay until the
+  // channel has an RTT estimate, then srtt/4 (clamped) so fast paths ack
+  // sooner and slow paths stop provoking spurious retransmissions.
+  static Duration ack_delay(const Peer& peer) {
+    if (!peer.sender.rtt().valid()) return kAckDelay;
+    return std::clamp(peer.sender.rtt().srtt() / 4, kAckDelayMin,
+                      kAckDelayMax);
   }
 
   void channel_send(PeerId to, Peer& peer, util::BytesView payload,

@@ -59,11 +59,19 @@ std::uint32_t get_le32(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-// Receive slab geometry, derived from rx_buffer_bytes: a slab holds
-// kRxSlabFactor receive windows, and datagrams start on kRxAlign-byte
-// boundaries within it.
+// Receive geometry: each window takes the UDP maximum (larger datagrams
+// are dropped as rx_truncated); a slab holds kRxSlabFactor windows, and
+// datagrams pack into it on kRxAlign-byte boundaries (see RxSlab).
+constexpr std::size_t kRxBufferBytes = 65536;
 constexpr std::size_t kRxSlabFactor = 4;
+constexpr std::size_t kRxSlabBytes = kRxSlabFactor * kRxBufferBytes;
 constexpr std::size_t kRxAlign = 64;
+
+// Datagrams the tx queue may hold across EAGAIN resumes before new ones
+// are dropped as loss.
+constexpr std::size_t kMaxTxBacklog = 1024;
+// Poll cap with no deadline pending (commands wake the loop explicitly).
+constexpr sim::Duration kMaxIdleWait = 50 * sim::kMillisecond;
 
 // Deadline-bounded poll. On Linux ppoll gives microsecond precision, so
 // the loop wakes exactly at the earliest RTO / delayed-ack deadline; the
@@ -202,15 +210,15 @@ struct UdpTransport::RxSlots {
 UdpTransport::UdpTransport(std::uint16_t port, UdpTransportConfig config)
     : cfg_(config), socket_(port, config.rx_shards > 0) {
   NEWTOP_CHECK(cfg_.burst > 0);
-  rx_slab_bytes_ = kRxSlabFactor * cfg_.rx_buffer_bytes;
-  // Floor the pool's per-class byte budget at one receive slab per
-  // burst slot: every slot may rotate in the same drain, and a pool that
-  // cannot hold that many released slabs round-trips (and zero-fills)
-  // them through the allocator.
-  cfg_.pool.max_bytes_per_class = std::max(cfg_.pool.max_bytes_per_class,
-                                           cfg_.burst * rx_slab_bytes_);
-  cfg_.pool.max_class = std::max(cfg_.pool.max_class, rx_slab_bytes_);
-  pool_ = util::BufferPool::create(cfg_.pool);
+  // One pool for every node on this transport. Floor its per-class byte
+  // budget at one receive slab per burst slot: every slot may rotate in
+  // the same drain, and a pool that cannot hold that many released slabs
+  // round-trips (and zero-fills) them through the allocator.
+  util::BufferPoolConfig pool_cfg;
+  pool_cfg.max_bytes_per_class =
+      std::max(pool_cfg.max_bytes_per_class, cfg_.burst * kRxSlabBytes);
+  pool_cfg.max_class = std::max(pool_cfg.max_class, kRxSlabBytes);
+  pool_ = util::BufferPool::create(pool_cfg);
   shard_threads_target_ = cfg_.rx_shards;
   for (std::size_t i = 0; i < shard_threads_target_; ++i) {
     shard_sockets_.push_back(
@@ -332,7 +340,7 @@ void UdpTransport::queue_send(ProcessId from, ProcessId to,
     }
     dest = it->second;
   }
-  if (tx_pending_.size() >= cfg_.max_tx_backlog) {
+  if (tx_pending_.size() >= kMaxTxBacklog) {
     // Backlog cap: the socket is slower than the protocol. Excess is
     // datagram loss — the reliable channel retransmits.
     tx_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -358,11 +366,10 @@ void UdpTransport::wake() {
 }
 
 std::uint8_t* UdpTransport::rx_window(RxSlab& slab) {
-  if (slab.buf == nullptr ||
-      slab.off + cfg_.rx_buffer_bytes > rx_slab_bytes_) {
+  if (slab.buf == nullptr || slab.off + kRxBufferBytes > kRxSlabBytes) {
     // Recycled slabs come back at full element count, so the resize in
     // acquire_full zero-fills only a slab's first use.
-    util::Bytes b = pool_->acquire_full(rx_slab_bytes_);
+    util::Bytes b = pool_->acquire_full(kRxSlabBytes);
     slab.data = b.data();
     slab.buf = pool_->share(std::move(b));
     slab.off = 0;
@@ -373,7 +380,7 @@ std::uint8_t* UdpTransport::rx_window(RxSlab& slab) {
 void UdpTransport::consume(RxSlab& slab, std::size_t len, int flags,
                            std::vector<RxItem>& out) {
   if ((flags & MSG_TRUNC) != 0) {
-    // Datagram exceeded rx_buffer_bytes: undecodable, drop. Its window
+    // Datagram exceeded kRxBufferBytes: undecodable, drop. Its window
     // is reused for the next datagram.
     rx_truncated_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -403,7 +410,7 @@ void UdpTransport::drain_socket(int fd, RxSlots& slots,
     for (;;) {
       for (std::size_t i = 0; i < burst; ++i) {
         slots.iovs[i].iov_base = rx_window(slots.slabs[i]);
-        slots.iovs[i].iov_len = cfg_.rx_buffer_bytes;
+        slots.iovs[i].iov_len = kRxBufferBytes;
         std::memset(&slots.msgs[i].msg_hdr, 0, sizeof(msghdr));
         slots.msgs[i].msg_hdr.msg_iov = &slots.iovs[i];
         slots.msgs[i].msg_hdr.msg_iovlen = 1;
@@ -433,7 +440,7 @@ void UdpTransport::drain_socket(int fd, RxSlots& slots,
   // Per-packet fallback: the same packing slab, one datagram per
   // recvmsg call.
   for (;;) {
-    iovec iov{rx_window(slots.slabs[0]), cfg_.rx_buffer_bytes};
+    iovec iov{rx_window(slots.slabs[0]), kRxBufferBytes};
     sockaddr_in from{};
     msghdr mh{};
     mh.msg_iov = &iov;
@@ -561,8 +568,8 @@ void UdpTransport::loop() {
     // Wake at the earliest pending deadline: the soonest RTO expiry or
     // delayed-ack window across every attached node's router, or the
     // node's protocol-tick boundary, whichever is first — capped by
-    // max_idle_wait when nothing is due.
-    sim::Time deadline = now + cfg_.max_idle_wait;
+    // kMaxIdleWait when nothing is due.
+    sim::Time deadline = now + kMaxIdleWait;
     for (const auto& [id, node] : snapshot) {
       deadline = std::min(deadline, node->next_deadline(now));
     }
@@ -641,9 +648,7 @@ void UdpTransport::shard_loop(std::size_t shard) {
 
 UdpNode::UdpNode(ProcessId id, std::uint16_t port, UdpNodeConfig config)
     : id_(id) {
-  UdpTransportConfig tc = config.transport;
-  tc.pool = config.pool;  // the node-level pool config is authoritative
-  transport_ = std::make_shared<UdpTransport>(port, tc);
+  transport_ = std::make_shared<UdpTransport>(port, config.transport);
   owns_transport_ = true;
   init(std::move(config));
 }

@@ -97,7 +97,7 @@ struct TransportIoStats {
   std::uint64_t tx_datagrams = 0;   // datagrams accepted by the kernel
   std::uint64_t rx_datagrams = 0;   // datagrams received
   std::uint64_t rx_copies = 0;      // datagrams staged through a copy (0)
-  std::uint64_t rx_truncated = 0;   // dropped: larger than rx_buffer_bytes
+  std::uint64_t rx_truncated = 0;   // dropped: larger than the rx window
   std::uint64_t rx_unroutable = 0;  // dropped: bad envelope / unknown dst
   std::uint64_t tx_dropped = 0;     // dropped: backlog cap or send error
   std::uint64_t wakeups = 0;        // event-loop poll returns
@@ -115,25 +115,6 @@ struct UdpTransportConfig {
   // across them, so per-peer ordering is preserved per shard). 0 (the
   // default) receives on the event-loop thread.
   std::size_t rx_shards = 0;
-  // Per-datagram receive capacity. Datagrams larger than this are
-  // dropped (counted rx_truncated) — keep it at the UDP maximum unless
-  // the deployment bounds its payloads. Every receive window is this
-  // large, but datagrams are packed into shared slabs of four windows,
-  // each taking only its own length (rounded up to 64 bytes), so a
-  // retained slice pins about its own bytes, not a whole window. A
-  // slice that outlives its slab-mates pins the slab; the engine's
-  // retention compaction right-sizes those.
-  std::size_t rx_buffer_bytes = 65536;
-  // Pending-transmit cap: datagrams the tx queue may hold across
-  // EAGAIN partial-send resumes before new ones are dropped as loss.
-  std::size_t max_tx_backlog = 1024;
-  // Poll cap when no deadline is pending (commands wake the loop
-  // explicitly, so this only bounds staleness of the idle loop).
-  sim::Duration max_idle_wait = 50 * sim::kMillisecond;
-  // Pool shared by every node on this transport. The per-class byte
-  // budget is floored at burst receive slabs, so every slot can rotate
-  // to a recycled slab at once instead of thrashing the allocator.
-  util::BufferPoolConfig pool;
 };
 
 // One socket (plus burst machinery and event loop), multiplexing any
@@ -202,7 +183,7 @@ class UdpTransport {
   // lands in the free tail of its slot's slab and goes upward as a slice
   // of that slab.
   void drain_socket(int fd, RxSlots& slots, std::vector<RxItem>& out);
-  // The slot's next receive window (rx_buffer_bytes long), rotating the
+  // The slot's next receive window (kRxBufferBytes long), rotating the
   // slot to a fresh pooled slab when its tail is shorter than that.
   std::uint8_t* rx_window(RxSlab& slab);
   // Hands the datagram just received into the slot's window upward (or
@@ -217,7 +198,6 @@ class UdpTransport {
   std::vector<std::unique_ptr<UdpSocket>> shard_sockets_;
   std::size_t shard_threads_target_ = 0;
   util::BufferPoolPtr pool_;
-  std::size_t rx_slab_bytes_ = 0;  // receive slab size, see RxSlab
   // Self-pipe: [read, write]. Every wake() writes a byte, so a wake that
   // lands after the loop drained the pipe always leaves it readable.
   int wake_fds_[2] = {-1, -1};
@@ -276,11 +256,8 @@ struct UdpNodeConfig {
   // their own deadlines via the transport's deadline-driven wakeups.
   sim::Duration tick_interval = 5 * sim::kMillisecond;
   // Used only when the node creates a private transport (port-taking
-  // constructor): pool config (recycles rx datagram buffers and tx
-  // packet encodes; enabled = false falls back to plain heap
-  // allocation) and the socket/burst knobs. A node attached to a shared
-  // UdpTransport uses that transport's pool and knobs instead.
-  util::BufferPoolConfig pool;
+  // constructor). A node attached to a shared UdpTransport uses that
+  // transport's knobs and pool instead.
   UdpTransportConfig transport;
   // Application event sink (core/api.h): called on the transport's loop
   // thread after the observation logs recorded the event. Must not block

@@ -44,9 +44,8 @@ struct BufferPoolConfig {
   // can run deep while one class of jumbo buffers cannot hoard memory.
   std::size_t max_per_class = 4096;
   std::size_t max_bytes_per_class = std::size_t{1} << 20;
-  // Capacity range that is pooled. Buffers outside it (tiny control
-  // packets round up to min; jumbo frames above max) bypass the pool.
-  std::size_t min_class = 64;
+  // Largest pooled capacity: jumbo buffers above it bypass the pool
+  // (the floor is BufferPool::kMinClass).
   std::size_t max_class = std::size_t{1} << 20;
 };
 
@@ -67,6 +66,10 @@ struct BufferPoolStats {
 
 class BufferPool : public std::enable_shared_from_this<BufferPool> {
  public:
+  // Smallest pooled class: tiny control packets round up to it, and
+  // smaller buffers bypass the pool.
+  static constexpr std::size_t kMinClass = 64;
+
   explicit BufferPool(BufferPoolConfig config = {}) : cfg_(config) {}
 
   BufferPool(const BufferPool&) = delete;
@@ -236,7 +239,7 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
 
   void release_locked(Bytes b) REQUIRES(mutex_) {
     const std::size_t cap = b.capacity();
-    if (!cfg_.enabled || cap < cfg_.min_class || cap > cfg_.max_class) {
+    if (!cfg_.enabled || cap < kMinClass || cap > cfg_.max_class) {
       ++stats_.dropped;
       return;  // b frees normally
     }
@@ -289,18 +292,18 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
 
   // Smallest pooled class covering n / largest pooled class within cap.
   std::size_t class_up(std::size_t n) const {
-    std::size_t c = cfg_.min_class;
+    std::size_t c = kMinClass;
     while (c < n) c <<= 1;
     return c;
   }
   std::size_t class_down(std::size_t cap) const {
-    std::size_t c = cfg_.min_class;
+    std::size_t c = kMinClass;
     while ((c << 1) <= cap && (c << 1) <= cfg_.max_class) c <<= 1;
     return c;
   }
   std::size_t class_index(std::size_t cls) const {
     std::size_t i = 0;
-    for (std::size_t c = cfg_.min_class; c < cls; c <<= 1) ++i;
+    for (std::size_t c = kMinClass; c < cls; c <<= 1) ++i;
     return i;
   }
 

@@ -35,13 +35,13 @@ TEST(BufferPool, AcquireReleaseRoundTripReusesStorage) {
 TEST(BufferPool, SizeClassesRoundUpAndRoundTrip) {
   auto pool = BufferPool::create();
   Bytes small = pool->acquire(10);
-  EXPECT_GE(small.capacity(), pool->config().min_class);
+  EXPECT_GE(small.capacity(), BufferPool::kMinClass);
   const std::uint8_t* storage = small.data() ? small.data()
                                              : (small.push_back(1),
                                                 small.data());
   pool->release(std::move(small));
   // An acquire anywhere in the same class finds it.
-  Bytes mid = pool->acquire(pool->config().min_class);
+  Bytes mid = pool->acquire(BufferPool::kMinClass);
   EXPECT_EQ(mid.data(), storage);
 }
 

@@ -72,7 +72,6 @@ TEST(ChannelSender, CumulativeAckReleasesPrefix) {
 TEST(ChannelSender, RetransmitsOnlyAfterRto) {
   ChannelConfig cfg;
   cfg.rto = 100;
-  cfg.rto_backoff = 2.0;
   cfg.rto_max = 400;
   ChannelSender s{cfg};
   std::vector<util::Bytes> out;
@@ -105,10 +104,11 @@ TEST(ChannelSender, RetransmitsOnlyAfterRto) {
   EXPECT_EQ(out.size(), 1u);
 }
 
-TEST(ChannelSender, FlatRtoWhenBackoffDisabled) {
+TEST(ChannelSender, PinnedRtoKeepsScheduleFlat) {
   ChannelConfig cfg;
   cfg.rto = 100;
-  cfg.rto_backoff = 1.0;  // knob: restore the flat schedule
+  // Pinning the estimator caps the backoff at rto: a flat schedule.
+  cfg.rto_min = cfg.rto_max = cfg.rto;
   ChannelSender s{cfg};
   std::vector<util::Bytes> out;
   ChannelStats stats;
@@ -213,7 +213,6 @@ ChannelConfig adaptive_cfg() {
   cfg.rto = 20000;      // 20ms seed until the first sample
   cfg.rto_min = 5000;   // 5ms
   cfg.rto_max = 160000;
-  cfg.rto_backoff = 2.0;
   return cfg;
 }
 

@@ -482,36 +482,5 @@ TEST(RxPath, BackpressureCapRejectsAndWindowEventFiresOnceOnDrain) {
   EXPECT_EQ(h.count_send_window_events(), 1u);
 }
 
-// ---------------------------------------------------------------------
-// Retention pressure events
-// ---------------------------------------------------------------------
-
-TEST(RxPath, RetentionPressureEventIsEdgeTriggered) {
-  Config cfg;
-  cfg.retention_pressure_bytes = 16;  // any retained content crosses it
-  cfg.retention_compact_ratio = 0;    // keep the footprint put
-  Harness h(1, cfg);
-  h.ep->create_group(1, {0, 1}, {}, 0);
-
-  h.ep->on_message(0, encode_app(1, 0, 1, "bulk-payload-over-threshold"),
-                   1);
-  auto pressure_events = [&] {
-    std::size_t n = 0;
-    for (const auto& ev : h.events) {
-      if (const auto* p = std::get_if<RetentionPressureEvent>(&ev)) {
-        EXPECT_EQ(p->group, 1u);
-        EXPECT_GE(p->stats.pinned_bytes, cfg.retention_pressure_bytes);
-        ++n;
-      }
-    }
-    return n;
-  };
-  h.ep->on_tick(2);
-  EXPECT_EQ(pressure_events(), 1u);
-  h.ep->on_tick(3);  // still above threshold: edge, not level
-  EXPECT_EQ(pressure_events(), 1u);
-  EXPECT_EQ(h.ep->stats().retention_pressure_events, 1u);
-}
-
 }  // namespace
 }  // namespace newtop

@@ -182,6 +182,15 @@ TEST(Router, ResetPeerStopsRetransmission) {
 TEST(Router, MalformedDatagramIgnored) {
   Rig rig(2);
   rig.routers[1]->on_datagram(0, util::Bytes{0xFF, 0x01}, rig.sim.now());
+  // Garbage claiming a never-seen source (the unauthenticated envelope
+  // id on a socket host) must not allocate channel state for it: an
+  // unknown kind, a truncated data frame and a truncated ack.
+  rig.routers[1]->on_datagram(777, util::Bytes{0xFF, 0x01}, rig.sim.now());
+  rig.routers[1]->on_datagram(778, util::Bytes{0x80}, rig.sim.now());
+  rig.routers[1]->on_datagram(779, util::Bytes{0x01}, rig.sim.now());
+  for (PeerId id : {777u, 778u, 779u}) {
+    EXPECT_EQ(rig.routers[1]->peer_stats(id), nullptr) << id;
+  }
   rig.send(0, 1, "after");
   rig.sim.run_for(kSecond);
   ASSERT_EQ(rig.inbox[1].size(), 1u);
@@ -314,6 +323,66 @@ TEST(Router, ReverseDataSuppressesStandaloneAck) {
   EXPECT_EQ(s1.acks_sent, 0u);
 }
 
+TEST(Router, DelayedAckWindowFollowsSrtt) {
+  // Two routers wired by hand, so every datagram lands exactly when the
+  // test says. The ack deadline is read right after a data arrival on an
+  // otherwise idle channel (nothing in flight, nothing buffered), so
+  // next_deadline is that arrival's ack window.
+  struct Pair {
+    std::vector<util::Bytes> wire[2];  // datagrams sent by router i
+    std::unique_ptr<Router> r[2];
+    Pair() {
+      for (PeerId i = 0; i < 2; ++i) {
+        r[i] = std::make_unique<Router>(
+            i, ChannelConfig{},
+            [this, i](PeerId, util::Bytes d) {
+              wire[i].push_back(std::move(d));
+            },
+            [](PeerId, util::BytesView) {});
+      }
+    }
+    // Hands router `from`'s datagrams to the other router at `at`.
+    void carry(PeerId from, Time at) {
+      for (auto& d : wire[from]) {
+        r[1 - from]->on_datagram(from, std::move(d), at);
+      }
+      wire[from].clear();
+    }
+  };
+  const Time t0 = kSecond;
+
+  // No RTT sample yet: the fixed 3 ms initial window (kAckDelay).
+  {
+    Pair p;
+    p.r[0]->send(1, bytes_of("x"), t0);
+    p.carry(0, t0 + kMillisecond);
+    EXPECT_EQ(p.r[1]->next_deadline(t0 + kMillisecond),
+              t0 + kMillisecond + 3 * kMillisecond);
+  }
+
+  // Router 1 pings, router 0 answers at once (the answer piggybacks the
+  // ack and its timestamp echo), so the answer's arrival at router 1
+  // carries its first RTT sample: srtt = 2 * one_way. Returns router 1's
+  // ack window for the answer itself.
+  auto window_after_round_trip = [&](sim::Duration one_way) {
+    Pair p;
+    p.r[1]->send(0, bytes_of("ping"), t0);
+    p.carry(1, t0 + one_way);
+    p.r[0]->send(1, bytes_of("pong"), t0 + one_way);
+    const Time arrival = t0 + 2 * one_way;
+    p.carry(0, arrival);
+    EXPECT_EQ(p.r[1]->peer_rtt(0)->srtt(), 2 * one_way);
+    return p.r[1]->next_deadline(arrival) - arrival;
+  };
+  // Fast path: srtt/4 = 50us, raised to the 0.5 ms floor (kAckDelayMin).
+  EXPECT_EQ(window_after_round_trip(100 * sim::kMicrosecond),
+            500 * sim::kMicrosecond);
+  // Slow path: srtt/4 = 50ms, cut to the 20 ms cap (kAckDelayMax).
+  EXPECT_EQ(window_after_round_trip(100 * kMillisecond), 20 * kMillisecond);
+  // In between: srtt/4 itself.
+  EXPECT_EQ(window_after_round_trip(10 * kMillisecond), 5 * kMillisecond);
+}
+
 // ---------------------------------------------------------------------
 // Reorder-buffer overflow accounting and RTO backoff
 // ---------------------------------------------------------------------
@@ -342,9 +411,10 @@ TEST(Router, BackoffReducesRetransmissionsUnderLoss) {
   // traffic exactly when capacity is least. Measure the retransmission
   // rate into a dead (partitioned) link, then heal and verify the backed
   // channel still recovers everything.
-  auto run = [](double backoff) {
+  auto run = [](bool pinned) {
     ChannelConfig ch;
-    ch.rto_backoff = backoff;
+    // The flat control: an estimator pinned at rto caps backoff at rto.
+    if (pinned) ch.rto_min = ch.rto_max = ch.rto;
     Rig rig(2, {}, ch);
     rig.net->partition({{0}, {1}});
     for (int i = 0; i < 8; ++i) rig.send(0, 1, "m" + std::to_string(i));
@@ -352,11 +422,11 @@ TEST(Router, BackoffReducesRetransmissionsUnderLoss) {
     const std::uint64_t during = rig.routers[0]->total_stats().retransmissions;
     rig.net->heal();
     rig.sim.run_for(5 * kSecond);
-    EXPECT_EQ(rig.inbox[1].size(), 8u) << "backoff=" << backoff;
+    EXPECT_EQ(rig.inbox[1].size(), 8u) << "pinned=" << pinned;
     return during;
   };
-  const std::uint64_t flat = run(1.0);
-  const std::uint64_t backed = run(2.0);
+  const std::uint64_t flat = run(true);
+  const std::uint64_t backed = run(false);
   EXPECT_GT(backed, 0u);
   // Capped exponential (cap 8x rto) vs every-rto: ~8x less repair
   // traffic over the outage; require at least 3x to stay robust.
