@@ -107,7 +107,7 @@ void BM_AblationTransportRto(benchmark::State& state) {
     WorldConfig cfg = default_world(3, seed++);
     cfg.network.drop_probability = 0.2;
     cfg.host.channel.rto = rto_ms * kMillisecond;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     const auto members = all_members(3);
     w.create_group(1, members);
     w.run_for(300 * kMillisecond);
@@ -131,7 +131,7 @@ void BM_AblationTransportWindow(benchmark::State& state) {
     WorldConfig cfg = default_world(3, seed++);
     cfg.network.drop_probability = 0.1;
     cfg.host.channel.window = window;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     w.create_group(1, all_members(3));
     w.run_for(300 * kMillisecond);
     const sim::Time t0 = w.now();
@@ -139,7 +139,7 @@ void BM_AblationTransportWindow(benchmark::State& state) {
       w.multicast(0, 1, "w" + std::to_string(i));
     }
     const bool ok = w.run_until_pred(
-        [&] { return w.process(2).delivered_strings(1).size() >= 100; },
+        [&] { return w.log(2).delivered_strings(1).size() >= 100; },
         w.now() + 300 * kSecond);
     if (ok) drain_ms = static_cast<double>(w.now() - t0) / kMillisecond;
   }

@@ -26,7 +26,7 @@ void BM_AsymLatencyVsGroupSize(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Samples agg;
   for (auto _ : state) {
-    SimWorld w(default_world(n));
+    LoggedWorld w(default_world(n));
     const auto members = all_members(n);
     w.create_group(1, members, asym());
     w.run_for(200 * kMillisecond);
@@ -49,7 +49,7 @@ void BM_AsymLatencyVsOmega(benchmark::State& state) {
     WorldConfig cfg = default_world(5);
     cfg.host.endpoint.omega = omega_ms * kMillisecond;
     cfg.host.endpoint.omega_big = 20 * omega_ms * kMillisecond;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     const auto members = all_members(5);
     w.create_group(1, members, asym());
     w.run_for(200 * kMillisecond);
@@ -60,7 +60,7 @@ void BM_AsymLatencyVsOmega(benchmark::State& state) {
       w.multicast(1, 1, payload);  // non-sequencer origin
       const bool ok = w.run_until_pred(
           [&] {
-            const auto d = w.process(4).delivered_strings(1);
+            const auto d = w.log(4).delivered_strings(1);
             for (const auto& s : d) {
               if (s == payload) return true;
             }
@@ -83,7 +83,7 @@ void BM_AsymBatchCompletion(benchmark::State& state) {
   const int kBurst = 10;
   util::Samples agg;
   for (auto _ : state) {
-    SimWorld w(default_world(n));
+    LoggedWorld w(default_world(n));
     const auto members = all_members(n);
     w.create_group(1, members, asym());
     w.run_for(200 * kMillisecond);
@@ -97,7 +97,7 @@ void BM_AsymBatchCompletion(benchmark::State& state) {
     const bool ok = w.run_until_pred(
         [&] {
           for (ProcessId p : members) {
-            if (w.process(p).delivered_strings(1).size() < expect)
+            if (w.log(p).delivered_strings(1).size() < expect)
               return false;
           }
           return true;

@@ -74,7 +74,7 @@ void run_batching_bench(benchmark::State& state, OrderMode mode) {
   for (auto _ : state) {
     WorldConfig cfg = default_world(kMembers);
     cfg.host.channel.max_batch = max_batch;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     const auto members = all_members(kMembers);
     GroupOptions opts;
     opts.mode = mode;
@@ -102,7 +102,7 @@ void run_batching_bench(benchmark::State& state, OrderMode mode) {
     const bool ok = w.run_until_pred(
         [&] {
           for (ProcessId p : members) {
-            if (w.process(p).delivered_strings(1).size() < expect)
+            if (w.log(p).delivered_strings(1).size() < expect)
               return false;
           }
           return true;

@@ -31,7 +31,7 @@ void BM_CausalChainMd5PrimeVsOmegaBig(benchmark::State& state) {
   for (auto _ : state) {
     WorldConfig cfg = default_world(6, seed++);
     cfg.host.endpoint.omega_big = omega_big_ms * kMillisecond;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     const ProcessId pk = 0, pi = 1, pj = 2, pl = 3, pq = 4, ps = 5;
     w.create_group(1, {pk, pi, pj, pl});
     w.create_group(2, {pl, pq});
@@ -50,7 +50,7 @@ void BM_CausalChainMd5PrimeVsOmegaBig(benchmark::State& state) {
     // Relay the chain: each hop waits for its predecessor's delivery.
     w.run_until_pred(
         [&] {
-          const auto d = w.process(pl).delivered_strings(1);
+          const auto d = w.log(pl).delivered_strings(1);
           for (const auto& s : d) {
             if (s == "m1") return true;
           }
@@ -59,11 +59,11 @@ void BM_CausalChainMd5PrimeVsOmegaBig(benchmark::State& state) {
         w.now() + 60 * kSecond);
     w.multicast(pl, 2, "m2");
     w.run_until_pred(
-        [&] { return !w.process(pq).delivered_strings(2).empty(); },
+        [&] { return !w.log(pq).delivered_strings(2).empty(); },
         w.now() + 60 * kSecond);
     w.multicast(pq, 3, "m3");
     w.run_until_pred(
-        [&] { return !w.process(ps).delivered_strings(3).empty(); },
+        [&] { return !w.log(ps).delivered_strings(3).empty(); },
         w.now() + 60 * kSecond);
     const sim::Time m4_sent = w.now();
     w.multicast(ps, 4, "m4");
@@ -72,7 +72,7 @@ void BM_CausalChainMd5PrimeVsOmegaBig(benchmark::State& state) {
     // b): measure the wait.
     const bool ok = w.run_until_pred(
         [&] {
-          const auto d = w.process(pi).delivered_strings(4);
+          const auto d = w.log(pi).delivered_strings(4);
           for (const auto& s : d) {
             if (s == "m4") return true;
           }
@@ -100,7 +100,7 @@ void BM_CausalChainNoFault(benchmark::State& state) {
   double m4_delay_ms = 0, m1_before_m4 = 0;
   std::uint64_t seed = 90;
   for (auto _ : state) {
-    SimWorld w(default_world(6, seed++));
+    LoggedWorld w(default_world(6, seed++));
     const ProcessId pk = 0, pi = 1, pj = 2, pl = 3, pq = 4, ps = 5;
     (void)pj;
     w.create_group(1, {pk, pi, pj, pl});
@@ -111,23 +111,23 @@ void BM_CausalChainNoFault(benchmark::State& state) {
     w.multicast(pk, 1, "m1");
     w.run_until_pred(
         [&] {
-          const auto d = w.process(pl).delivered_strings(1);
+          const auto d = w.log(pl).delivered_strings(1);
           return !d.empty();
         },
         w.now() + 60 * kSecond);
     w.multicast(pl, 2, "m2");
     w.run_until_pred(
-        [&] { return !w.process(pq).delivered_strings(2).empty(); },
+        [&] { return !w.log(pq).delivered_strings(2).empty(); },
         w.now() + 60 * kSecond);
     w.multicast(pq, 3, "m3");
     w.run_until_pred(
-        [&] { return !w.process(ps).delivered_strings(3).empty(); },
+        [&] { return !w.log(ps).delivered_strings(3).empty(); },
         w.now() + 60 * kSecond);
     const sim::Time m4_sent = w.now();
     w.multicast(ps, 4, "m4");
     const bool ok = w.run_until_pred(
         [&] {
-          const auto d = w.process(pi).delivered_strings(4);
+          const auto d = w.log(pi).delivered_strings(4);
           return !d.empty();
         },
         w.now() + 120 * kSecond);
@@ -135,7 +135,7 @@ void BM_CausalChainNoFault(benchmark::State& state) {
       m4_delay_ms = static_cast<double>(w.now() - m4_sent) / kMillisecond;
       // m1 delivered at Pi before m4 (cross-group causal order).
       sim::Time t_m1 = -1, t_m4 = -1;
-      for (const auto& r : w.process(pi).deliveries) {
+      for (const auto& r : w.log(pi).deliveries()) {
         const auto s = simhost::to_string(r.delivery.payload);
         if (s == "m1") t_m1 = r.at;
         if (s == "m4") t_m4 = r.at;

@@ -48,12 +48,12 @@ struct RunResult {
 };
 
 // Waits until every member delivered `payload` in group 1.
-bool wait_all_delivered(SimWorld& w, const std::vector<ProcessId>& members,
+bool wait_all_delivered(LoggedWorld& w, const std::vector<ProcessId>& members,
                         const std::string& payload) {
   return w.run_until_pred(
       [&] {
         for (ProcessId p : members) {
-          const auto d = w.process(p).delivered_strings(1);
+          const auto d = w.log(p).delivered_strings(1);
           bool found = false;
           for (const auto& str : d) {
             if (str == payload) {
@@ -78,7 +78,7 @@ bool wait_all_delivered(SimWorld& w, const std::vector<ProcessId>& members,
 // swamp the fan-out signal.
 RunResult run_workload(std::size_t n, DisseminationStrategy s,
                        std::uint32_t arity, int msgs) {
-  SimWorld w(default_world(n));
+  LoggedWorld w(default_world(n));
   const auto members = all_members(n);
   w.create_group(1, members, strategy_opts(s, arity));
   w.run_for(500 * kMillisecond);
@@ -125,9 +125,9 @@ RunResult run_workload(std::size_t n, DisseminationStrategy s,
   // member must have seen the same delivery sequence.
   if (!wait_all_delivered(w, members, "d" + std::to_string(msgs - 1)))
     return RunResult{};
-  const auto ref = w.process(0).delivered_strings(1);
+  const auto ref = w.log(0).delivered_strings(1);
   for (ProcessId p : members) {
-    if (w.process(p).delivered_strings(1) != ref) {
+    if (w.log(p).delivered_strings(1) != ref) {
       return RunResult{};  // disagreement poisons the metrics (gate fails)
     }
   }

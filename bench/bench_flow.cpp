@@ -57,7 +57,7 @@ void BM_FlowWindowThroughputCost(benchmark::State& state) {
     WorldConfig cfg = default_world(3, seed++);
     cfg.host.endpoint.flow_window = window;
     cfg.network.latency = sim::LatencyModel::constant(10 * kMillisecond);
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     w.create_group(1, all_members(3));
     w.run_for(200 * kMillisecond);
     const sim::Time t0 = w.now();
@@ -65,7 +65,7 @@ void BM_FlowWindowThroughputCost(benchmark::State& state) {
       w.multicast(0, 1, "f" + std::to_string(i));
     }
     const bool ok = w.run_until_pred(
-        [&] { return w.process(2).delivered_strings(1).size() >= 300; },
+        [&] { return w.log(2).delivered_strings(1).size() >= 300; },
         w.now() + 600 * kSecond);
     if (ok) drain_ms = static_cast<double>(w.now() - t0) / kMillisecond;
   }
@@ -90,7 +90,7 @@ void run_jitter_flood(bool adaptive, double& retransmits_per_msg,
       sim::LatencyModel::bimodal(1 * kMillisecond, 40 * kMillisecond, 0.3);
   auto& ch = cfg.host.channel;
   if (!adaptive) ch.rto_min = ch.rto_max = ch.rto;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, all_members(3));
   w.run_for(200 * kMillisecond);
   const auto totals = [&] {
@@ -112,7 +112,7 @@ void run_jitter_flood(bool adaptive, double& retransmits_per_msg,
   const bool ok = w.run_until_pred(
       [&] {
         for (ProcessId p : all_members(3)) {
-          if (w.process(p).delivered_strings(1).size() <
+          if (w.log(p).delivered_strings(1).size() <
               static_cast<std::size_t>(kMsgs))
             return false;
         }

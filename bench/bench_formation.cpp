@@ -15,7 +15,7 @@ void BM_FormationLatencyVsGroupSize(benchmark::State& state) {
   util::Samples form_ms, first_delivery_ms;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    SimWorld w(default_world(n, seed++));
+    LoggedWorld w(default_world(n, seed++));
     const auto members = all_members(n);
     const sim::Time t0 = w.now();
     w.ep(0).initiate_group(1, members, {}, w.now());
@@ -34,7 +34,7 @@ void BM_FormationLatencyVsGroupSize(benchmark::State& state) {
     const bool delivered = w.run_until_pred(
         [&] {
           for (ProcessId p : members) {
-            if (w.process(p).delivered_strings(1).empty()) return false;
+            if (w.log(p).delivered_strings(1).empty()) return false;
           }
           return true;
         },
@@ -62,7 +62,7 @@ void BM_FormationImpactOnExistingGroup(benchmark::State& state) {
   std::uint64_t seed = 40;
   for (auto _ : state) {
     for (const bool forming : {false, true}) {
-      SimWorld w(default_world(4, seed));
+      LoggedWorld w(default_world(4, seed));
       w.create_group(1, {0, 1, 2, 3});
       w.run_for(300 * kMillisecond);
       if (forming) {
@@ -73,7 +73,7 @@ void BM_FormationImpactOnExistingGroup(benchmark::State& state) {
       w.multicast(2, 1, payload);
       const bool ok = w.run_until_pred(
           [&] {
-            const auto d = w.process(0).delivered_strings(1);
+            const auto d = w.log(0).delivered_strings(1);
             return !d.empty() && d.back() == payload;
           },
           w.now() + 60 * kSecond);

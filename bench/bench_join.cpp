@@ -29,7 +29,7 @@ using namespace newtop::benchutil;
 // synthesises application state of that size at the transfer source.
 double join_convergence_ms(std::size_t snapshot_bytes, std::uint64_t seed) {
   WorldConfig cfg = default_world(4, seed);
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   GroupOptions opts;
   opts.snapshot_provider = [snapshot_bytes](GroupId) {
     return std::vector<std::uint8_t>(snapshot_bytes, 0xab);
@@ -62,7 +62,7 @@ double join_convergence_ms(std::size_t snapshot_bytes, std::uint64_t seed) {
   }
   if (!done) return -1.0;
   // The joiner's own event log timestamps the kCaughtUp edge.
-  const auto& st = w.process(3).state_transfers;
+  const auto st = w.log(3).state_transfers();
   if (st.empty()) return -1.0;
   return static_cast<double>(st.back().at - t0) / kMillisecond;
 }
@@ -98,7 +98,7 @@ void BM_ChurnedThroughput(benchmark::State& state) {
   double joiner_ops = 0;
   std::uint64_t seed = 77;
   for (auto _ : state) {
-    SimWorld w(default_world(4, seed++));
+    LoggedWorld w(default_world(4, seed++));
     GroupOptions opts;
     opts.snapshot_provider = [](GroupId) {
       return std::vector<std::uint8_t>(16 * 1024, 0x5a);
@@ -119,7 +119,7 @@ void BM_ChurnedThroughput(benchmark::State& state) {
     const bool ok = w.run_until_pred(
         [&] {
           for (ProcessId p = 0; p < 3; ++p) {
-            if (w.process(p).delivered_strings(1).size() <
+            if (w.log(p).delivered_strings(1).size() <
                 static_cast<std::size_t>(kOps)) {
               return false;
             }
@@ -137,7 +137,7 @@ void BM_ChurnedThroughput(benchmark::State& state) {
     // The joiner applies the tail of the schedule live after install.
     joiner_ops = static_cast<double>(
         w.ep(3).stats().join_stash_deliveries +
-        w.process(3).delivered_strings(1).size());
+        w.log(3).delivered_strings(1).size());
   }
   state.counters["ops_per_sec"] = ops_per_sec;
   state.counters["joiner_ops"] = joiner_ops;

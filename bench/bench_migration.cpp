@@ -21,7 +21,7 @@ void BM_MigrationVsStateSize(benchmark::State& state) {
   double migration_ms = 0, max_gap_ms = 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    SimWorld w(default_world(3, seed++));
+    LoggedWorld w(default_world(3, seed++));
     const ProcessId p1 = 0, p2 = 1, p3 = 2;
     w.create_group(1, {p1, p2});  // server group
     w.run_for(300 * kMillisecond);
@@ -47,7 +47,7 @@ void BM_MigrationVsStateSize(benchmark::State& state) {
     // Wait for the state to be fully transferred to P3.
     w.run_until_pred(
         [&] {
-          return w.process(p3).delivered_strings(2).size() >=
+          return w.log(p3).delivered_strings(2).size() >=
                  static_cast<std::size_t>(chunks);
         },
         w.now() + 120 * kSecond);
@@ -66,7 +66,7 @@ void BM_MigrationVsStateSize(benchmark::State& state) {
 
     // Service disruption: largest inter-delivery gap of g1 requests at P1
     // inside the migration window.
-    const auto& dels = w.process(p1).deliveries;
+    const auto dels = w.log(p1).deliveries();
     sim::Time prev = mig_start;
     sim::Time worst = 0;
     for (const auto& r : dels) {

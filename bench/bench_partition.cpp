@@ -136,7 +136,7 @@ void BM_BothSidesLiveAfterSplit(benchmark::State& state) {
   std::uint64_t seed = 99;
   for (auto _ : state) {
     const std::size_t n = 5;
-    SimWorld w(default_world(n, seed++));
+    LoggedWorld w(default_world(n, seed++));
     w.create_group(1, all_members(n));
     w.run_for(300 * kMillisecond);
     w.partition({{0}, {1, 2, 3, 4}});
@@ -149,8 +149,8 @@ void BM_BothSidesLiveAfterSplit(benchmark::State& state) {
                  v1->members.size() == 4;
         },
         w.now() + 600 * kSecond);
-    const auto before0 = w.process(0).delivered_strings(1).size();
-    const auto before1 = w.process(1).delivered_strings(1).size();
+    const auto before0 = w.log(0).delivered_strings(1).size();
+    const auto before1 = w.log(1).delivered_strings(1).size();
     for (int i = 0; i < 10; ++i) {
       w.multicast(0, 1, "min" + std::to_string(i));
       w.multicast(2, 1, "maj" + std::to_string(i));
@@ -158,9 +158,9 @@ void BM_BothSidesLiveAfterSplit(benchmark::State& state) {
     }
     w.run_for(4 * kSecond);
     minority_delivered = static_cast<double>(
-        w.process(0).delivered_strings(1).size() - before0);
+        w.log(0).delivered_strings(1).size() - before0);
     majority_delivered = static_cast<double>(
-        w.process(1).delivered_strings(1).size() - before1);
+        w.log(1).delivered_strings(1).size() - before1);
   }
   state.counters["minority_delivered"] = minority_delivered;
   state.counters["majority_delivered"] = majority_delivered;

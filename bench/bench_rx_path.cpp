@@ -81,9 +81,10 @@ using namespace newtop::benchutil;
 // retention byte accounting (worst pinned/used ratio seen after any
 // round) and reports the pool hit rate over the measured window.
 //
-// `delivery` selects the ownership mode (GroupOptions::delivery). The
-// SimProcess delivery log retains every payload for the whole run — the
-// honest model of an application that keeps what it was delivered. Under
+// `delivery` selects the ownership mode (GroupOptions::delivery). Each
+// process's EventLog (LoggedWorld) retains every payload for the whole
+// run — the honest model of an application that keeps what it was
+// delivered. Under
 // kZeroCopySlice on the asymmetric workload that app co-pinning holds
 // whole sequencer BatchFrames hostage (compaction correctly declines to
 // copy while the app still references the buffer), so pinned/used rides
@@ -106,7 +107,7 @@ void BM_RxDeliveryAllocs(benchmark::State& state, OrderMode mode,
     WorldConfig cfg = default_world(kMembers);
     cfg.host.channel.max_batch = max_batch;
     cfg.pool.enabled = pool_enabled;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     const auto members = all_members(kMembers);
     GroupOptions opts;
     opts.mode = mode;
@@ -116,13 +117,7 @@ void BM_RxDeliveryAllocs(benchmark::State& state, OrderMode mode,
 
     // Allocation-free delivery counting (the predicate runs inside the
     // measured window; building strings there would pollute the metric).
-    auto delivered = [&](ProcessId p) {
-      std::size_t n = 0;
-      for (const auto& r : w.process(p).deliveries) {
-        if (r.delivery.group == 1) ++n;
-      }
-      return n;
-    };
+    auto delivered = [&](ProcessId p) { return w.log(p).delivery_count(1); };
     // `sample` collects the retention byte accounting after each round;
     // only enabled for the warmup rounds — retention_stats itself
     // allocates (dedup set), which must not pollute the measured

@@ -21,7 +21,7 @@ void BM_SymLatencyVsGroupSize(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Samples agg;
   for (auto _ : state) {
-    SimWorld w(default_world(n));
+    LoggedWorld w(default_world(n));
     const auto members = all_members(n);
     w.create_group(1, members);
     w.run_for(200 * kMillisecond);
@@ -45,7 +45,7 @@ void BM_SymLatencyVsOmega(benchmark::State& state) {
     WorldConfig cfg = default_world(5);
     cfg.host.endpoint.omega = omega_ms * kMillisecond;
     cfg.host.endpoint.omega_big = 20 * omega_ms * kMillisecond;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     const auto members = all_members(5);
     w.create_group(1, members);
     w.run_for(200 * kMillisecond);
@@ -57,7 +57,7 @@ void BM_SymLatencyVsOmega(benchmark::State& state) {
       w.multicast(0, 1, payload);
       const bool ok = w.run_until_pred(
           [&] {
-            const auto d = w.process(4).delivered_strings(1);
+            const auto d = w.log(4).delivered_strings(1);
             return !d.empty() && d.back() == payload;
           },
           w.now() + 60 * kSecond);
@@ -79,7 +79,7 @@ void BM_SymBatchCompletion(benchmark::State& state) {
   const int kBurst = 10;
   util::Samples agg;
   for (auto _ : state) {
-    SimWorld w(default_world(n));
+    LoggedWorld w(default_world(n));
     const auto members = all_members(n);
     w.create_group(1, members);
     w.run_for(200 * kMillisecond);
@@ -93,7 +93,7 @@ void BM_SymBatchCompletion(benchmark::State& state) {
     const bool ok = w.run_until_pred(
         [&] {
           for (ProcessId p : members) {
-            if (w.process(p).delivered_strings(1).size() < expect)
+            if (w.log(p).delivered_strings(1).size() < expect)
               return false;
           }
           return true;

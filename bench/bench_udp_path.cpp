@@ -24,22 +24,25 @@
 //   dgrams_per_syscall — datagrams moved per socket syscall
 //   rx_copies          — staging copies on the receive path (must be 0)
 //   rx_pinned_bytes_per_payload_byte — distinct backing-buffer bytes
-//                        held by the nodes' logs of every delivered
-//                        payload, over those payloads' bytes: what
-//                        keeping deliveries costs in memory (a datagram
-//                        that pins a whole receive buffer shows here)
+//                        held by the nodes' EventLogs of every
+//                        delivered payload, over those payloads' bytes:
+//                        what an application that keeps its deliveries
+//                        pays in memory (a datagram that pins a whole
+//                        receive buffer shows here)
 //   udp_path/ratio:syscall_ratio — fallback syscalls_per_msg / mmsg's
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/event_log.h"
 #include "transport/udp_transport.h"
 
 namespace {
@@ -53,6 +56,9 @@ constexpr int kBurst = 16;      // multicasts per member per round (kWide)
 constexpr int kWarmRounds = 3;
 
 struct Mesh {
+  // One log per node, recording every delivery (first member: the nodes
+  // stop before their logs go away).
+  std::deque<EventLog> logs;
   std::vector<std::shared_ptr<UdpTransport>> transports;
   std::vector<std::unique_ptr<UdpNode>> nodes;
 
@@ -68,6 +74,7 @@ struct Mesh {
     cfg.channel.rto = 30 * sim::kMillisecond;  // loopback: no rexmits
     cfg.channel.max_batch = 1;                 // see header comment
     for (ProcessId id = 0; id < 4; ++id) {
+      cfg.on_event = logs.emplace_back().sink();
       nodes.push_back(
           std::make_unique<UdpNode>(id, transports[id / 2], cfg));
     }
@@ -123,11 +130,11 @@ struct Mesh {
         std::chrono::steady_clock::now() + std::chrono::seconds(10);
     for (;;) {
       bool ok = true;
-      for (auto& n : nodes) {
-        if (n->delivery_count(kWide) < done_wide_) ok = false;
+      for (const EventLog& log : logs) {
+        if (log.delivery_count(kWide) < done_wide_) ok = false;
       }
       for (ProcessId id : {0u, 2u}) {
-        if (nodes[id]->delivery_count(kNarrow) < done_narrow_) ok = false;
+        if (logs[id].delivery_count(kNarrow) < done_narrow_) ok = false;
       }
       if (ok) return true;
       if (std::chrono::steady_clock::now() > deadline) return false;
@@ -135,13 +142,14 @@ struct Mesh {
     }
   }
 
-  // Distinct backing-buffer bytes held by the delivery logs of every
-  // node (each delivered payload is kept there), per payload byte.
+  // Distinct backing-buffer bytes held by the logs of every node (each
+  // delivered payload is kept there), per payload byte.
   double pinned_bytes_per_payload_byte() const {
     std::set<const util::Bytes*> buffers;
     double pinned = 0, used = 0;
-    for (const auto& n : nodes) {
-      for (const Delivery& d : n->deliveries()) {
+    for (const EventLog& log : logs) {
+      for (const DeliveryRecord& r : log.deliveries()) {
+        const Delivery& d = r.delivery;
         used += static_cast<double>(d.payload.size());
         const util::SharedBytes& buf = d.payload.buffer();
         if (buf != nullptr && buffers.insert(buf.get()).second) {

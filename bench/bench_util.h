@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 #include "util/stats.h"
 
 namespace newtop::benchutil {
@@ -37,7 +38,7 @@ inline std::vector<ProcessId> all_members(std::size_t n) {
 // Sends `count` multicasts from rotating senders with `gap` virtual time
 // between them, then waits for full delivery; returns per-message
 // send-to-last-delivery latency samples (virtual ms).
-inline util::Samples measure_delivery_latency(SimWorld& w, GroupId g,
+inline util::Samples measure_delivery_latency(LoggedWorld& w, GroupId g,
                                               const std::vector<ProcessId>& members,
                                               int count, sim::Duration gap) {
   util::Samples latency_ms;
@@ -50,7 +51,7 @@ inline util::Samples measure_delivery_latency(SimWorld& w, GroupId g,
     const bool ok = w.run_until_pred(
         [&] {
           for (ProcessId p : members) {
-            const auto d = w.process(p).delivered_strings(g);
+            const auto d = w.log(p).delivered_strings(g);
             if (d.empty() || d.back() != payload) {
               // Search fully (other traffic may follow).
               bool found = false;

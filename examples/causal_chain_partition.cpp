@@ -10,8 +10,10 @@
 // order at Pi reads as if the failure preceded m1's multicast. The
 // program narrates exactly that sequence of events.
 #include <cstdio>
+#include <deque>
 #include <string>
 
+#include "core/event_log.h"
 #include "core/sim_host.h"
 
 using namespace newtop;
@@ -22,8 +24,8 @@ using sim::kSecond;
 
 namespace {
 
-bool delivered(SimWorld& w, ProcessId p, GroupId g, const std::string& m) {
-  for (const auto& s : w.process(p).delivered_strings(g)) {
+bool delivered(const EventLog& log, GroupId g, const std::string& m) {
+  for (const auto& s : log.delivered_strings(g)) {
     if (s == m) return true;
   }
   return false;
@@ -38,6 +40,12 @@ int main() {
   cfg.network.latency =
       sim::LatencyModel::uniform(2 * kMillisecond, 8 * kMillisecond);
   SimWorld world(cfg);
+  // The host keeps nothing it delivers: one EventLog per process records
+  // the deliveries this walkthrough narrates.
+  std::deque<EventLog> logs(cfg.processes);
+  for (ProcessId p = 0; p < world.size(); ++p) {
+    world.process(p).set_event_sink(logs[p].sink());
+  }
   const ProcessId pk = 0, pi = 1, pj = 2, pl = 3, pq = 4, ps = 5;
 
   std::printf("== Causal chain across overlapping groups (Fig. 2) ==\n");
@@ -55,21 +63,21 @@ int main() {
   world.crash(pk);  // the partition is permanent
 
   // Relay the causal chain m1 -> m2 -> m3 -> m4.
-  world.run_until_pred([&] { return delivered(world, pl, 1, "m1"); },
+  world.run_until_pred([&] { return delivered(logs[pl], 1, "m1"); },
                        world.now() + 30 * kSecond);
   std::printf("Pl delivered m1; sends m2 in g2\n");
   world.multicast(pl, 2, "m2");
-  world.run_until_pred([&] { return delivered(world, pq, 2, "m2"); },
+  world.run_until_pred([&] { return delivered(logs[pq], 2, "m2"); },
                        world.now() + 30 * kSecond);
   std::printf("Pq delivered m2; sends m3 in g3\n");
   world.multicast(pq, 3, "m3");
-  world.run_until_pred([&] { return delivered(world, ps, 3, "m3"); },
+  world.run_until_pred([&] { return delivered(logs[ps], 3, "m3"); },
                        world.now() + 30 * kSecond);
   std::printf("Ps delivered m3; sends m4 in g4 (m1 -> m4 causally)\n");
   const sim::Time m4_sent = world.now();
   world.multicast(ps, 4, "m4");
 
-  world.run_until_pred([&] { return delivered(world, pi, 4, "m4"); },
+  world.run_until_pred([&] { return delivered(logs[pi], 4, "m4"); },
                        world.now() + 120 * kSecond);
   const double wait_ms =
       static_cast<double>(world.now() - m4_sent) / kMillisecond;
@@ -79,7 +87,8 @@ int main() {
   std::printf("Pi's g1 view at that moment: %s\n",
               v1 ? to_string(*v1).c_str() : "(none)");
   std::printf("m1 delivered at Pi: %s\n",
-              delivered(world, pi, 1, "m1") ? "yes" : "no (lost in the partition)");
+              delivered(logs[pi], 1, "m1") ? "yes"
+                                           : "no (lost in the partition)");
   std::printf("MD5' honoured: %s — Pk was excluded from Pi's view before "
               "m4 was delivered,\nso the lost m1 reads as sent by a "
               "non-member.\n",

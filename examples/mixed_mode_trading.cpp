@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/event_log.h"
 #include "core/sim_host.h"
 
 using namespace newtop;
@@ -27,9 +28,13 @@ int main() {
   cfg.network.latency =
       sim::LatencyModel::uniform(1 * kMillisecond, 10 * kMillisecond);
   SimWorld world(cfg);
+  // The host keeps nothing it delivers; the gateway's EventLog records
+  // the combined order checked below.
+  const ProcessId gateway = 1;   // multi-group member
+  EventLog gateway_log;
+  world.process(gateway).set_event_sink(gateway_log.sink());
 
   const ProcessId engine = 0;    // matching engine = sequencer of g1
-  const ProcessId gateway = 1;   // multi-group member
   const ProcessId client = 2;    // another order source
   const ProcessId auditorA = 3, auditorB = 4;
 
@@ -60,7 +65,8 @@ int main() {
   std::printf("\ngateway's combined delivery order:\n  ");
   int inversions = 0;
   std::string last_order;
-  for (const auto& r : world.process(gateway).deliveries) {
+  const auto deliveries = gateway_log.deliveries();
+  for (const auto& r : deliveries) {
     const std::string s = simhost::to_string(r.delivery.payload);
     std::printf("[%s] ", s.c_str());
     if (s.rfind("order#", 0) == 0) last_order = s;
@@ -68,7 +74,7 @@ int main() {
       // The audit record must directly follow (in causal order) the
       // order it refers to — i.e. that order must already be delivered.
       bool seen = false;
-      for (const auto& r2 : world.process(gateway).deliveries) {
+      for (const auto& r2 : deliveries) {
         if (&r2 == &r) break;
         if (simhost::to_string(r2.delivery.payload) == s.substr(6)) {
           seen = true;

@@ -10,8 +10,10 @@
 // same three surfaces exist verbatim on the UDP host
 // (examples/replicated_kv.cpp, examples/udp_demo.cpp).
 #include <cstdio>
+#include <deque>
 #include <string>
 
+#include "core/event_log.h"
 #include "core/sim_host.h"
 
 using namespace newtop;
@@ -81,10 +83,14 @@ int main() {
   std::printf("creating group g1 = {P0, P1, P2} (symmetric total order)\n");
   world.create_group(/*g=*/1, {0, 1, 2});
 
-  // P2 narrates its event stream; P0 and P1 are observed through the
-  // host's typed logs instead — both are fed by the same Event stream.
+  // Hosts keep nothing they deliver: each process's event sink feeds an
+  // EventLog (core/event_log.h), the record the oracles below read. P2's
+  // log also forwards every event to a narrator.
+  std::deque<EventLog> logs(cfg.processes);
+  world.process(0).set_event_sink(logs[0].sink());
+  world.process(1).set_event_sink(logs[1].sink());
   world.process(2).set_event_sink(
-      [](const Event& ev) { print_event(2, ev); });
+      logs[2].sink([](const Event& ev) { print_event(2, ev); }));
 
   // One handle per (process, group) membership.
   GroupHandle g0 = world.group(0, 1);
@@ -99,7 +105,7 @@ int main() {
 
   for (ProcessId p = 0; p < 3; ++p) {
     std::printf("P%u delivered:", p);
-    for (const auto& s : world.process(p).delivered_strings(1)) {
+    for (const auto& s : logs[p].delivered_strings(1)) {
       std::printf(" [%s]", s.c_str());
     }
     std::printf("\n");
@@ -116,10 +122,10 @@ int main() {
                 v ? to_string(*v).c_str() : "(none)");
   }
   std::printf("P0 delivered %zu messages, P1 delivered %zu — orders %s\n",
-              world.process(0).delivered_strings(1).size(),
-              world.process(1).delivered_strings(1).size(),
-              world.process(0).delivered_strings(1) ==
-                      world.process(1).delivered_strings(1)
+              logs[0].delivered_strings(1).size(),
+              logs[1].delivered_strings(1).size(),
+              logs[0].delivered_strings(1) ==
+                      logs[1].delivered_strings(1)
                   ? "identical"
                   : "DIVERGENT (bug!)");
 

@@ -8,11 +8,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/event_log.h"
 #include "transport/udp_transport.h"
 
 using namespace newtop;
@@ -86,9 +88,15 @@ int main(int argc, char** argv) {
   };
 
   std::printf("== Newtop over UDP loopback ==\n");
+  // A node keeps nothing it delivers: each node's EventLog records its
+  // deliveries and forwards every event to the formation counter. The
+  // logs outlive the nodes (declared first, destroyed last).
+  std::deque<EventLog> logs(3);
   std::vector<std::unique_ptr<UdpNode>> nodes;
   for (ProcessId p = 0; p < 3; ++p) {
-    nodes.push_back(std::make_unique<UdpNode>(p, /*port=*/0, cfg));
+    UdpNodeConfig node_cfg = cfg;
+    node_cfg.on_event = logs[p].sink(cfg.on_event);
+    nodes.push_back(std::make_unique<UdpNode>(p, /*port=*/0, node_cfg));
   }
   for (auto& a : nodes) {
     for (auto& b : nodes) {
@@ -122,9 +130,8 @@ int main(int argc, char** argv) {
 
   for (auto& node : nodes) {
     std::printf("P%u delivered:", node->id());
-    for (const auto& d : node->deliveries()) {
-      std::printf(" [%s]",
-                  std::string(d.payload.begin(), d.payload.end()).c_str());
+    for (const auto& s : logs[node->id()].delivered_strings(1)) {
+      std::printf(" [%s]", s.c_str());
     }
     std::printf("\n");
   }
@@ -147,10 +154,8 @@ int main(int argc, char** argv) {
   std::printf("P0 multicast: %s\n",
               to_string(g0.multicast(bytes_of("life goes on"))));
   std::this_thread::sleep_for(300ms);
-  const auto d1 = nodes[1]->deliveries();
-  const std::string last =
-      d1.empty() ? "?" : std::string(d1.back().payload.begin(),
-                                     d1.back().payload.end());
+  const auto d1 = logs[1].delivered_strings(1);
+  const std::string last = d1.empty() ? "?" : d1.back();
   std::printf("P1's last delivery: [%s]\n", last.c_str());
 
   // The syscall-batching telemetry: datagrams per syscall is the

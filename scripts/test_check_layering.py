@@ -117,7 +117,26 @@ def main() -> int:
         "unresolvable include rejected",
     )
 
-    # 8. The real tree is clean at head.
+    # 8. core/event_log.h is a host file despite its directory: it may
+    # take a mutex, and engine code may not include it.
+    expect(
+        check_layering.classify("core/event_log.h") == check_layering.HOSTS,
+        "core/event_log.h classified as hosts",
+    )
+    ok = dict(CLEAN)
+    ok["core/event_log.h"] = (
+        '#pragma once\n#include "core/engine.h"\n#include <mutex>\n'
+    )
+    expect(run_fixture(ok) == [], "event_log.h may include <mutex>")
+    bad = dict(ok)
+    bad["core/engine.cpp"] = '#include "core/event_log.h"\n'
+    errs = run_fixture(bad)
+    expect(
+        any("engine file includes" in e and "event_log.h" in e for e in errs),
+        "engine->event_log.h include rejected",
+    )
+
+    # 9. The real tree is clean at head.
     real_src = Path(__file__).resolve().parent.parent / "src"
     expect(check_layering.lint(real_src) == [], "real src/ tree passes")
 

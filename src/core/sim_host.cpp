@@ -58,30 +58,13 @@ SimProcess::SimProcess(sim::Simulator& simulator, sim::Network& network,
     router_->send_relayed(to, std::move(data), sim_.now());
     schedule_flush();
   };
-  hooks.on_event = [this](const Event& ev) { on_event(ev); };
+  hooks.on_event = [this](const Event& ev) {
+    if (app_sink_) app_sink_(ev);
+  };
   hooks.buffer_pool = std::move(pool);
   endpoint_ = std::make_unique<Endpoint>(id_, config.endpoint,
                                          std::move(hooks));
   schedule_tick();
-}
-
-void SimProcess::on_event(const Event& ev) {
-  // Record into the typed observation logs, then hand the event to the
-  // application's sink (if any).
-  if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
-    deliveries.push_back(DeliveryRecord{sim_.now(), d->delivery});
-  } else if (const auto* v = std::get_if<ViewChangeEvent>(&ev)) {
-    views.push_back(ViewRecord{sim_.now(), v->group, v->view});
-  } else if (const auto* f = std::get_if<FormationEvent>(&ev)) {
-    formations.push_back(FormationRecord{sim_.now(), f->group, f->outcome});
-  } else if (const auto* s = std::get_if<SendWindowEvent>(&ev)) {
-    send_windows.push_back(SendWindowRecord{sim_.now(), *s});
-  } else if (const auto* st = std::get_if<StateTransferEvent>(&ev)) {
-    state_transfers.push_back(StateTransferRecord{sim_.now(), *st});
-  } else if (const auto* mj = std::get_if<MemberJoinedEvent>(&ev)) {
-    member_joins.push_back(MemberJoinedRecord{sim_.now(), *mj});
-  }
-  if (app_sink_) app_sink_(ev);
 }
 
 SendResult SimProcess::group_multicast(GroupId g, util::Bytes payload) {
@@ -147,14 +130,6 @@ void SimProcess::crash() {
   if (crashed_) return;
   crashed_ = true;
   net_.set_node_down(node_, true);
-}
-
-std::vector<std::string> SimProcess::delivered_strings(GroupId g) const {
-  std::vector<std::string> out;
-  for (const auto& r : deliveries) {
-    if (r.delivery.group == g) out.push_back(to_string(r.delivery.payload));
-  }
-  return out;
 }
 
 SimWorld::SimWorld(WorldConfig config)

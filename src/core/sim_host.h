@@ -4,8 +4,9 @@
 // SimWorld is the top-level object used by tests, benchmarks and the
 // examples: it owns a Simulator, a Network and N SimProcesses, provides
 // fault injection (crashes — including crash-mid-multicast — and
-// partitions) and records everything each process delivered or installed,
-// so correctness oracles (MD1-MD5', VC1-VC3) can be checked after a run.
+// partitions). It records nothing: correctness oracles (MD1-MD5',
+// VC1-VC3) read an EventLog (core/event_log.h) attached through each
+// process's event sink.
 #pragma once
 
 #include <functional>
@@ -30,48 +31,15 @@ struct HostConfig {
   sim::Duration tick_interval = 5 * sim::kMillisecond;
 };
 
-struct DeliveryRecord {
-  sim::Time at = 0;
-  Delivery delivery;
-};
-
-struct ViewRecord {
-  sim::Time at = 0;
-  GroupId group = 0;
-  View view;
-};
-
-struct FormationRecord {
-  sim::Time at = 0;
-  GroupId group = 0;
-  FormationOutcome outcome = FormationOutcome::kFormed;
-};
-
-struct SendWindowRecord {
-  sim::Time at = 0;
-  SendWindowEvent event;
-};
-
-struct StateTransferRecord {
-  sim::Time at = 0;
-  StateTransferEvent event;
-};
-
-struct MemberJoinedRecord {
-  sim::Time at = 0;
-  MemberJoinedEvent event;
-};
-
 // One simulated node: Endpoint + Router bound to a Network node, driven
 // by a periodic tick event. All processes of a world share one
 // BufferPool (the world's), which also backs the Network's datagram
 // buffers: tx encodes and rx datagrams recycle through the same
 // freelists.
 //
-// The process consumes the engine's unified event stream (core/api.h):
-// every Event is recorded into the typed observation logs below and then
-// forwarded to the application's sink (set_event_sink), and the process
-// is the GroupHost behind SimWorld::group handles.
+// The process hands the engine's unified event stream (core/api.h)
+// straight to the application's sink (set_event_sink) and keeps none of
+// it, and the process is the GroupHost behind SimWorld::group handles.
 class SimProcess : public GroupHost {
  public:
   SimProcess(sim::Simulator& simulator, sim::Network& network, ProcessId id,
@@ -82,8 +50,8 @@ class SimProcess : public GroupHost {
   const Endpoint& endpoint() const { return *endpoint_; }
   transport::Router& router() { return *router_; }
 
-  // Application event sink: receives every engine event after the
-  // observation logs have recorded it. Replaces a previous sink.
+  // Application event sink: receives every engine event. Replaces a
+  // previous sink.
   void set_event_sink(EventSink sink) { app_sink_ = std::move(sink); }
 
   // Facade over one group membership (also via SimWorld::group).
@@ -112,20 +80,8 @@ class SimProcess : public GroupHost {
   // BatchFrame and are lost or delivered together.
   void crash_after_sends(std::uint64_t n) { sends_until_crash_ = n; }
 
-  // Observation logs.
-  std::vector<DeliveryRecord> deliveries;
-  std::vector<ViewRecord> views;
-  std::vector<FormationRecord> formations;
-  std::vector<SendWindowRecord> send_windows;
-  std::vector<StateTransferRecord> state_transfers;
-  std::vector<MemberJoinedRecord> member_joins;
-
-  // Delivered payload sequence for one group (convenience for oracles).
-  std::vector<std::string> delivered_strings(GroupId g) const;
-
  private:
   void on_datagram(sim::NodeId from, util::SharedBytes data);
-  void on_event(const Event& ev);
   void schedule_tick();
   // Flush-on-idle: endpoint sends are buffered in the router and flushed
   // by a zero-delay event once the current input has been fully processed,

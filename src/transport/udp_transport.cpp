@@ -538,9 +538,12 @@ bool UdpTransport::wait_events(sim::Duration timeout_us,
     // Every wake() writes, so a byte that misses this drain keeps the
     // pipe readable and the next poll returns at once. The work a
     // drained byte announced was queued before its write, so this
-    // iteration's dispatch (which follows) sees it.
+    // iteration's dispatch (which follows) sees it. A read shorter than
+    // the buffer found the pipe empty, so only a full read loops: one
+    // syscall per wake instead of a second that returns EAGAIN.
     std::uint8_t buf[256];
-    while (::read(wake_fds_[0], buf, sizeof(buf)) > 0) {
+    while (::read(wake_fds_[0], buf, sizeof(buf)) ==
+           static_cast<ssize_t>(sizeof(buf))) {
     }
   }
   // Readable, per the kernel — the caller skips the receive drain
@@ -686,15 +689,6 @@ void UdpNode::init(UdpNodeConfig&& config) {
     router_->send_relayed(to, std::move(data), now_us());
   };
   hooks.on_event = [this](const Event& ev) {
-    {
-      util::MutexLock lock(log_mutex_);
-      if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
-        deliveries_.push_back(d->delivery);
-      } else if (const auto* v = std::get_if<ViewChangeEvent>(&ev)) {
-        views_.emplace_back(v->group, v->view);
-      }
-    }
-    // User sink outside the log lock: it may take snapshots.
     if (cfg_.on_event) cfg_.on_event(ev);
   };
   hooks.buffer_pool = pool_;
@@ -911,25 +905,6 @@ ChannelStats UdpNode::transport_stats() {
 EndpointStats UdpNode::endpoint_stats() {
   return marshal<EndpointStats>(
       {}, [](Endpoint& e, sim::Time) { return e.stats(); });
-}
-
-std::vector<Delivery> UdpNode::deliveries() const {
-  util::MutexLock lock(log_mutex_);
-  return deliveries_;
-}
-
-std::vector<std::pair<GroupId, View>> UdpNode::views() const {
-  util::MutexLock lock(log_mutex_);
-  return views_;
-}
-
-std::size_t UdpNode::delivery_count(GroupId g) const {
-  util::MutexLock lock(log_mutex_);
-  std::size_t n = 0;
-  for (const auto& d : deliveries_) {
-    if (d.group == g) ++n;
-  }
-  return n;
 }
 
 }  // namespace newtop::transport

@@ -259,8 +259,9 @@ struct UdpNodeConfig {
   // constructor). A node attached to a shared UdpTransport uses that
   // transport's knobs and pool instead.
   UdpTransportConfig transport;
-  // Application event sink (core/api.h): called on the transport's loop
-  // thread after the observation logs recorded the event. Must not block
+  // Application event sink (core/api.h): receives every engine event on
+  // the transport's loop thread. The node keeps none of them; attach an
+  // EventLog (core/event_log.h) here to record history. Must not block
   // on this node's GroupHandle calls (they marshal back onto the loop).
   EventSink on_event;
 };
@@ -318,10 +319,7 @@ class UdpNode : public GroupHost {
   // event sink runs there).
   GroupHandle group(GroupId g) { return GroupHandle(this, g); }
 
-  // Thread-safe observation snapshots.
-  std::vector<Delivery> deliveries() const;
-  std::vector<std::pair<GroupId, View>> views() const;
-  std::size_t delivery_count(GroupId g) const;
+  // Thread-safe snapshot of the multicast admission tallies.
   SendCounts send_counts() const;
 
   // Aggregated reliable-transport counters — the adaptive-RTO gauges
@@ -391,8 +389,6 @@ class UdpNode : public GroupHost {
   bool stopped_ GUARDED_BY(mutex_) = false;
 
   mutable util::Mutex log_mutex_;
-  std::vector<Delivery> deliveries_ GUARDED_BY(log_mutex_);
-  std::vector<std::pair<GroupId, View>> views_ GUARDED_BY(log_mutex_);
   SendCounts send_counts_ GUARDED_BY(log_mutex_);
 };
 

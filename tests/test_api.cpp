@@ -11,11 +11,11 @@
 
 #include "core/endpoint.h"
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
 
-using simhost::SimWorld;
 using simhost::WorldConfig;
 using sim::kMillisecond;
 using sim::kSecond;
@@ -97,7 +97,7 @@ TEST(Api, EndpointWorksWithOnlyAnEventSink) {
 }
 
 TEST(Api, SimWorldGroupHandleFacade) {
-  SimWorld w(tiny_world(3));
+  LoggedWorld w(tiny_world(3));
   w.create_group(1, {0, 1, 2});
 
   GroupHandle h = w.group(0, 1);
@@ -106,7 +106,7 @@ TEST(Api, SimWorldGroupHandleFacade) {
   EXPECT_TRUE(send_accepted(h.multicast(simhost::to_bytes("hello"))));
   w.run_for(1 * kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               std::vector<std::string>{"hello"});
   }
 
@@ -132,24 +132,24 @@ TEST(Api, SimWorldGroupHandleFacade) {
 
 TEST(Api, AppEventSinkSeesViewChanges) {
   // SimProcess::set_event_sink: the application's sink receives the
-  // typed stream after the host's logs record it.
-  SimWorld w(tiny_world(3));
+  // typed stream, here chained behind the process's EventLog.
+  LoggedWorld w(tiny_world(3));
   w.create_group(1, {0, 1, 2});
   std::vector<GroupId> view_changes;
-  w.process(0).set_event_sink([&](const Event& ev) {
+  w.process(0).set_event_sink(w.log(0).sink([&](const Event& ev) {
     if (const auto* vc = std::get_if<ViewChangeEvent>(&ev)) {
       view_changes.push_back(vc->group);
     }
-  });
+  }));
   w.multicast(0, 1, "pre-crash");
   w.run_for(1 * kSecond);
   w.crash(2);
   w.run_for(3 * kSecond);
   ASSERT_GE(view_changes.size(), 1u);
   EXPECT_EQ(view_changes[0], 1u);
-  // The host's own log saw the same installation.
-  ASSERT_GE(w.process(0).views.size(), 1u);
-  EXPECT_EQ(w.process(0).views.back().view.members,
+  // The log ahead of the sink saw the same installation.
+  ASSERT_GE(w.log(0).views().size(), 1u);
+  EXPECT_EQ(w.log(0).views().back().view.members,
             (std::vector<ProcessId>{0, 1}));
 }
 

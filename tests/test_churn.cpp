@@ -13,11 +13,11 @@
 
 #include "core/sim_host.h"
 #include "util/rng.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
 
-using simhost::SimWorld;
 using simhost::WorldConfig;
 using sim::kMillisecond;
 using sim::kSecond;
@@ -30,7 +30,7 @@ TEST(Churn, GenerationalGroupReplacement) {
   WorldConfig cfg;
   cfg.processes = 9;
   cfg.seed = 99;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
 
   // Generation 0: {0, 1, 2}.
   std::vector<ProcessId> members{0, 1, 2};
@@ -48,9 +48,9 @@ TEST(Churn, GenerationalGroupReplacement) {
     }
     w.run_for(kSecond);
     // All current members agree on the traffic.
-    const auto ref = w.process(members[0]).delivered_strings(gen);
+    const auto ref = w.log(members[0]).delivered_strings(gen);
     for (ProcessId p : members) {
-      ASSERT_EQ(w.process(p).delivered_strings(gen), ref)
+      ASSERT_EQ(w.log(p).delivered_strings(gen), ref)
           << "generation " << generation << " diverged at P" << p;
     }
 
@@ -86,7 +86,7 @@ TEST(Churn, GenerationalGroupReplacement) {
   w.multicast(members[0], gen, "final");
   w.run_for(2 * kSecond);
   for (ProcessId p : members) {
-    const auto d = w.process(p).delivered_strings(gen);
+    const auto d = w.log(p).delivered_strings(gen);
     ASSERT_FALSE(d.empty());
     EXPECT_EQ(d.back(), "final") << "P" << p;
   }
@@ -99,7 +99,7 @@ TEST(Churn, CrashesDuringSteadyTrafficNeverDiverge) {
   WorldConfig cfg;
   cfg.processes = 8;
   cfg.seed = 101;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   std::vector<ProcessId> members{0, 1, 2, 3, 4, 5, 6, 7};
   w.create_group(1, members);
   w.run_for(300 * kMillisecond);
@@ -139,7 +139,7 @@ TEST(Churn, CrashesDuringSteadyTrafficNeverDiverge) {
     bool first = true;
     for (ProcessId p : members) {
       if (crashed.count(p) > 0) continue;
-      const auto d = w.process(p).delivered_strings(1);
+      const auto d = w.log(p).delivered_strings(1);
       if (first) {
         ref = d;
         first = false;
@@ -152,8 +152,8 @@ TEST(Churn, CrashesDuringSteadyTrafficNeverDiverge) {
   // Down to 3 members and still ordering.
   w.multicast(0, 1, "survivors");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1).back(), "survivors");
-  EXPECT_EQ(w.process(2).delivered_strings(1).back(), "survivors");
+  EXPECT_EQ(w.log(1).delivered_strings(1).back(), "survivors");
+  EXPECT_EQ(w.log(2).delivered_strings(1).back(), "survivors");
 }
 
 TEST(Churn, OverlappingGroupsChurnIndependently) {
@@ -162,7 +162,7 @@ TEST(Churn, OverlappingGroupsChurnIndependently) {
   WorldConfig cfg;
   cfg.processes = 6;
   cfg.seed = 103;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2, 3});
   w.create_group(2, {2, 3, 4, 5});
   w.create_group(3, {0, 5});
@@ -190,7 +190,7 @@ TEST(Churn, OverlappingGroupsChurnIndependently) {
   EXPECT_EQ(w.ep(0).view(3)->seq, 0u);
   // Common member P2 of g1/g2 has identical cross-group order vs P... it
   // is the only one in both; check its own deliveries stayed key-ordered.
-  const auto& dels = w.process(2).deliveries;
+  const auto dels = w.log(2).deliveries();
   for (std::size_t i = 1; i < dels.size(); ++i) {
     const auto& a = dels[i - 1].delivery;
     const auto& b = dels[i].delivery;
@@ -199,10 +199,10 @@ TEST(Churn, OverlappingGroupsChurnIndependently) {
   }
   // Everyone in each group agrees.
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(0).delivered_strings(1),
-            w.process(1).delivered_strings(1));
-  EXPECT_EQ(w.process(2).delivered_strings(2),
-            w.process(5).delivered_strings(2));
+  EXPECT_EQ(w.log(0).delivered_strings(1),
+            w.log(1).delivered_strings(1));
+  EXPECT_EQ(w.log(2).delivered_strings(2),
+            w.log(5).delivered_strings(2));
 }
 
 TEST(Churn, RapidLeaveRejoinCycles) {
@@ -211,7 +211,7 @@ TEST(Churn, RapidLeaveRejoinCycles) {
   WorldConfig cfg;
   cfg.processes = 3;
   cfg.seed = 107;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   for (GroupId g = 1; g <= 10; ++g) {
     w.ep(0).initiate_group(g, {0, 1, 2}, {}, w.now());
     ASSERT_TRUE(w.run_until_pred(
@@ -225,13 +225,13 @@ TEST(Churn, RapidLeaveRejoinCycles) {
     ASSERT_TRUE(w.run_until_pred(
         [&] {
           for (ProcessId p = 0; p < 3; ++p) {
-            if (w.process(p).delivered_strings(g).empty()) return false;
+            if (w.log(p).delivered_strings(g).empty()) return false;
           }
           return true;
         },
         w.now() + 10 * kSecond));
     for (ProcessId p = 0; p < 3; ++p) {
-      EXPECT_EQ(w.process(p).delivered_strings(g),
+      EXPECT_EQ(w.log(p).delivered_strings(g),
                 std::vector<std::string>{"cycle" + std::to_string(g)});
       w.ep(p).leave_group(g, w.now());
     }

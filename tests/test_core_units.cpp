@@ -9,6 +9,7 @@
 #include "core/lamport.h"
 #include "core/sim_host.h"
 #include "core/types.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -133,7 +134,7 @@ TEST(EndpointUnit, FlowControlQueuesWhenWindowFull) {
   cfg.host.endpoint.flow_window = 4;
   // Slow everything down so nothing stabilises during the burst.
   cfg.network.latency = sim::LatencyModel::constant(50 * kMillisecond);
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2});
   for (int i = 0; i < 20; ++i) w.multicast(0, 1, "b" + std::to_string(i));
   // Only the window's worth goes out immediately; the rest queue.
@@ -143,7 +144,7 @@ TEST(EndpointUnit, FlowControlQueuesWhenWindowFull) {
   // Everything still delivers eventually, in order.
   w.run_for(30 * kSecond);
   EXPECT_EQ(w.ep(0).queued_sends(), 0u);
-  const auto got = w.process(2).delivered_strings(1);
+  const auto got = w.log(2).delivered_strings(1);
   ASSERT_EQ(got.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got[i], "b" + std::to_string(i));
 }
@@ -169,7 +170,7 @@ TEST(EndpointUnit, LeaveIsIdempotentAndSafe) {
 }
 
 TEST(EndpointUnit, MessagesForUnknownGroupIgnored) {
-  SimWorld w(tiny(2));
+  LoggedWorld w(tiny(2));
   w.create_group(1, {0, 1});
   // Hand-deliver a message for a group P1 doesn't know.
   OrderedMsg m;
@@ -178,18 +179,18 @@ TEST(EndpointUnit, MessagesForUnknownGroupIgnored) {
   m.sender = m.emitter = 0;
   m.counter = 1;
   w.ep(1).on_message(0, m.encode(), w.now());
-  EXPECT_TRUE(w.process(1).deliveries.empty());
+  EXPECT_TRUE(w.log(1).deliveries().empty());
 }
 
 TEST(EndpointUnit, MalformedMessageIgnored) {
-  SimWorld w(tiny(2));
+  LoggedWorld w(tiny(2));
   w.create_group(1, {0, 1});
   w.ep(1).on_message(0, util::Bytes{0x01, 0xFF}, w.now());  // truncated App
   w.ep(1).on_message(0, util::Bytes{}, w.now());
   w.ep(1).on_message(0, util::Bytes{0x63}, w.now());  // unknown type
   w.multicast(0, 1, "still fine");
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             std::vector<std::string>{"still fine"});
 }
 
@@ -203,12 +204,12 @@ TEST(EndpointUnit, GroupIdsListsOnlyLiveGroups) {
 }
 
 TEST(EndpointUnit, DeliveryRecordsCarryViewSeq) {
-  SimWorld w(tiny(3, /*seed=*/15));
+  LoggedWorld w(tiny(3, /*seed=*/15));
   w.create_group(1, {0, 1, 2});
   w.multicast(0, 1, "v0 msg");
   w.run_for(kSecond);
-  ASSERT_FALSE(w.process(1).deliveries.empty());
-  EXPECT_EQ(w.process(1).deliveries[0].delivery.view_seq, 0u);
+  ASSERT_FALSE(w.log(1).deliveries().empty());
+  EXPECT_EQ(w.log(1).deliveries()[0].delivery.view_seq, 0u);
   w.crash(2);
   ASSERT_TRUE(w.run_until_pred(
       [&] {
@@ -218,15 +219,15 @@ TEST(EndpointUnit, DeliveryRecordsCarryViewSeq) {
       w.now() + 10 * kSecond));
   w.multicast(0, 1, "v1 msg");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(1).deliveries.back().delivery.view_seq, 1u);
+  EXPECT_EQ(w.log(1).deliveries().back().delivery.view_seq, 1u);
 }
 
 TEST(EndpointUnit, SelfMulticastInSingletonGroup) {
-  SimWorld w(tiny(1));
+  LoggedWorld w(tiny(1));
   w.create_group(1, {0});
   w.multicast(0, 1, "alone");
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(0).delivered_strings(1),
+  EXPECT_EQ(w.log(0).delivered_strings(1),
             std::vector<std::string>{"alone"});
 }
 
@@ -243,7 +244,7 @@ TEST(EndpointUnit, StatsTrackNullsAndDeliveries) {
 
 TEST(EndpointUnit, LargeGroupStillOrdersCorrectly) {
   WorldConfig cfg = tiny(16, /*seed=*/21);
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   std::vector<ProcessId> members;
   for (ProcessId p = 0; p < 16; ++p) members.push_back(p);
   w.create_group(1, members);
@@ -252,10 +253,10 @@ TEST(EndpointUnit, LargeGroupStillOrdersCorrectly) {
                 "m" + std::to_string(i));
   }
   w.run_for(5 * kSecond);
-  const auto ref = w.process(0).delivered_strings(1);
+  const auto ref = w.log(0).delivered_strings(1);
   EXPECT_EQ(ref.size(), 4u);
   for (ProcessId p = 1; p < 16; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1), ref) << "P" << p;
+    EXPECT_EQ(w.log(p).delivered_strings(1), ref) << "P" << p;
   }
 }
 

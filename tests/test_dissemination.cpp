@@ -12,11 +12,11 @@
 
 #include "core/dissemination.h"
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
 
-using simhost::SimWorld;
 using simhost::WorldConfig;
 using sim::kMillisecond;
 using sim::kSecond;
@@ -220,7 +220,7 @@ GroupOptions relay_opts(DisseminationStrategy s, std::uint32_t arity = 2) {
 
 // Drives a burst of multicasts from rotating senders and waits for every
 // listed member to deliver all of them.
-bool run_burst(SimWorld& w, GroupId g, const std::vector<ProcessId>& senders,
+bool run_burst(LoggedWorld& w, GroupId g, const std::vector<ProcessId>& senders,
                const std::vector<ProcessId>& receivers, int count,
                std::size_t expect_total, const std::string& tag) {
   for (int i = 0; i < count; ++i) {
@@ -230,7 +230,7 @@ bool run_burst(SimWorld& w, GroupId g, const std::vector<ProcessId>& senders,
   return w.run_until_pred(
       [&] {
         for (ProcessId p : receivers) {
-          if (w.process(p).delivered_strings(g).size() < expect_total)
+          if (w.log(p).delivered_strings(g).size() < expect_total)
             return false;
         }
         return true;
@@ -238,11 +238,11 @@ bool run_burst(SimWorld& w, GroupId g, const std::vector<ProcessId>& senders,
       w.now() + 120 * kSecond);
 }
 
-void expect_same_order(SimWorld& w, GroupId g,
+void expect_same_order(LoggedWorld& w, GroupId g,
                        const std::vector<ProcessId>& members) {
-  const auto ref = w.process(members.front()).delivered_strings(g);
+  const auto ref = w.log(members.front()).delivered_strings(g);
   for (ProcessId p : members) {
-    EXPECT_EQ(w.process(p).delivered_strings(g), ref) << "P" << p;
+    EXPECT_EQ(w.log(p).delivered_strings(g), ref) << "P" << p;
   }
 }
 
@@ -251,7 +251,7 @@ TEST(DisseminationSim, RingDeliversTotalOrderWithFewerDatagrams) {
   const auto members = members_of(n);
 
   auto run = [&](DisseminationStrategy s) {
-    SimWorld w(relay_world(n));
+    LoggedWorld w(relay_world(n));
     w.create_group(1, members, relay_opts(s));
     w.run_for(200 * kMillisecond);
     const std::uint64_t before = w.network().stats().datagrams_sent;
@@ -270,7 +270,7 @@ TEST(DisseminationSim, RingDeliversTotalOrderWithFewerDatagrams) {
 TEST(DisseminationSim, TreeDeliversTotalOrder) {
   const std::size_t n = 9;
   const auto members = members_of(n);
-  SimWorld w(relay_world(n));
+  LoggedWorld w(relay_world(n));
   w.create_group(1, members, relay_opts(DisseminationStrategy::kTree, 3));
   w.run_for(200 * kMillisecond);
   EXPECT_TRUE(run_burst(w, 1, members, members, 27, 27, "t"));
@@ -285,7 +285,7 @@ TEST(DisseminationSim, RingSuccessorCrashMidBurstNoGaps) {
   // ring. Every survivor must end with the identical gap-free order.
   const std::size_t n = 6;
   const auto members = members_of(n);
-  SimWorld w(relay_world(n));
+  LoggedWorld w(relay_world(n));
   w.create_group(1, members, relay_opts(DisseminationStrategy::kRing));
   w.run_for(200 * kMillisecond);
 
@@ -311,7 +311,7 @@ TEST(DisseminationSim, RingSuccessorCrashMidBurstNoGaps) {
         for (ProcessId p : survivors) {
           const auto v = w.ep(p).view(1);
           if (v == nullptr || v->contains(1)) return false;
-          if (w.process(p).delivered_strings(1).size() <
+          if (w.log(p).delivered_strings(1).size() <
               static_cast<std::size_t>(sent))
             return false;
         }
@@ -321,7 +321,7 @@ TEST(DisseminationSim, RingSuccessorCrashMidBurstNoGaps) {
       << "survivors wedged after ring relay crash";
   expect_same_order(w, 1, survivors);
   // No gaps: every sent payload delivered exactly once.
-  const auto d = w.process(0).delivered_strings(1);
+  const auto d = w.log(0).delivered_strings(1);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(std::count(d.begin(), d.end(), "pre" + std::to_string(i)), 1);
   }
@@ -333,7 +333,7 @@ TEST(DisseminationSim, TreeInteriorRelayCrashMidBurstNoGaps) {
   // leaves at once.
   const std::size_t n = 7;
   const auto members = members_of(n);
-  SimWorld w(relay_world(n));
+  LoggedWorld w(relay_world(n));
   w.create_group(1, members, relay_opts(DisseminationStrategy::kTree, 2));
   w.run_for(200 * kMillisecond);
 
@@ -358,7 +358,7 @@ TEST(DisseminationSim, TreeInteriorRelayCrashMidBurstNoGaps) {
         for (ProcessId p : survivors) {
           const auto v = w.ep(p).view(1);
           if (v == nullptr || v->contains(1)) return false;
-          if (w.process(p).delivered_strings(1).size() <
+          if (w.log(p).delivered_strings(1).size() <
               static_cast<std::size_t>(sent))
             return false;
         }
@@ -375,7 +375,7 @@ TEST(DisseminationSim, MixedModeGroupsShareOneTransport) {
   // the same FIFO channels without confusing either group.
   const std::size_t n = 5;
   const auto members = members_of(n);
-  SimWorld w(relay_world(n));
+  LoggedWorld w(relay_world(n));
   w.create_group(1, members, relay_opts(DisseminationStrategy::kRing));
   w.create_group(2, members, relay_opts(DisseminationStrategy::kFullMesh));
   w.run_for(200 * kMillisecond);
@@ -388,8 +388,8 @@ TEST(DisseminationSim, MixedModeGroupsShareOneTransport) {
   ASSERT_TRUE(w.run_until_pred(
       [&] {
         for (ProcessId p : members) {
-          if (w.process(p).delivered_strings(1).size() < 12) return false;
-          if (w.process(p).delivered_strings(2).size() < 12) return false;
+          if (w.log(p).delivered_strings(1).size() < 12) return false;
+          if (w.log(p).delivered_strings(2).size() < 12) return false;
         }
         return true;
       },
@@ -406,7 +406,7 @@ TEST(DisseminationSim, ViewChangeRecomputesPlan) {
   // it ever being suspected.
   const std::size_t n = 5;
   const auto members = members_of(n);
-  SimWorld w(relay_world(n));
+  LoggedWorld w(relay_world(n));
   w.create_group(1, members, relay_opts(DisseminationStrategy::kRing));
   w.run_for(200 * kMillisecond);
   EXPECT_TRUE(run_burst(w, 1, members, members, 5, 5, "x"));
@@ -425,7 +425,7 @@ TEST(DisseminationSim, ViewChangeRecomputesPlan) {
         return true;
       },
       w.now() + 60 * kSecond));
-  const std::size_t base = w.process(0).delivered_strings(1).size();
+  const std::size_t base = w.log(0).delivered_strings(1).size();
   EXPECT_TRUE(run_burst(w, 1, rest, rest, 6, base + 6, "y"));
   expect_same_order(w, 1, rest);
 }

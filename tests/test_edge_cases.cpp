@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -29,7 +30,7 @@ WorldConfig world_cfg(std::size_t n, std::uint64_t seed = 211) {
 TEST(AtomicOnly, CrashStillProducesConsistentViews) {
   GroupOptions o;
   o.guarantee = Guarantee::kAtomicOnly;
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 1, 2, 3}, o);
   w.run_for(300 * kMillisecond);
   w.multicast(0, 1, "pre");
@@ -47,7 +48,7 @@ TEST(AtomicOnly, CrashStillProducesConsistentViews) {
   w.multicast(1, 1, "post");
   w.run_for(2 * kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
-    const auto d = w.process(p).delivered_strings(1);
+    const auto d = w.log(p).delivered_strings(1);
     EXPECT_EQ(std::count(d.begin(), d.end(), std::string("pre")), 1);
     EXPECT_EQ(std::count(d.begin(), d.end(), std::string("post")), 1);
   }
@@ -59,12 +60,12 @@ TEST(AtomicOnly, NoOrderingDelayEvenWithSilentMembers) {
   WorldConfig cfg = world_cfg(5);
   cfg.host.endpoint.omega = 10 * kSecond;      // nulls essentially off
   cfg.host.endpoint.omega_big = 60 * kSecond;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2, 3, 4}, o);
   w.multicast(0, 1, "instant");
   w.run_for(30 * kMillisecond);  // ~2 network hops, no null traffic at all
   for (ProcessId p = 1; p < 5; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               std::vector<std::string>{"instant"})
         << "P" << p;
   }
@@ -106,7 +107,7 @@ TEST(FlowControl, AsymmetricOutstandingWindow) {
   WorldConfig cfg = world_cfg(3, /*seed=*/227);
   cfg.host.endpoint.flow_window = 3;
   cfg.network.latency = sim::LatencyModel::constant(40 * kMillisecond);
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2}, o);
   w.run_for(300 * kMillisecond);
   // Burst 10 sends from a non-sequencer: at most 3 outstanding forwards.
@@ -116,7 +117,7 @@ TEST(FlowControl, AsymmetricOutstandingWindow) {
   EXPECT_LE(w.ep(2).own_unstable(1), 3u);
   EXPECT_GT(w.ep(2).queued_sends(), 0u);
   w.run_for(10 * kSecond);
-  const auto d = w.process(0).delivered_strings(1);
+  const auto d = w.log(0).delivered_strings(1);
   ASSERT_EQ(d.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(d[i], "f" + std::to_string(i));
 }
@@ -126,7 +127,7 @@ TEST(CrashMidMulticast, PrefixOnlyFanOut) {
   // final multicast; survivors must resolve it consistently — either all
   // deliver (recovery) or none (lnmn cut).
   for (std::uint64_t sends : {0ull, 1ull, 2ull}) {
-    SimWorld w(world_cfg(4, /*seed=*/229 + sends));
+    LoggedWorld w(world_cfg(4, /*seed=*/229 + sends));
     w.create_group(1, {0, 1, 2, 3});
     w.run_for(300 * kMillisecond);
     w.process(3).crash_after_sends(sends);
@@ -142,9 +143,9 @@ TEST(CrashMidMulticast, PrefixOnlyFanOut) {
         w.now() + 30 * kSecond))
         << "sends=" << sends;
     w.run_for(2 * kSecond);
-    const auto d0 = w.process(0).delivered_strings(1);
-    EXPECT_EQ(d0, w.process(1).delivered_strings(1)) << "sends=" << sends;
-    EXPECT_EQ(d0, w.process(2).delivered_strings(1)) << "sends=" << sends;
+    const auto d0 = w.log(0).delivered_strings(1);
+    EXPECT_EQ(d0, w.log(1).delivered_strings(1)) << "sends=" << sends;
+    EXPECT_EQ(d0, w.log(2).delivered_strings(1)) << "sends=" << sends;
   }
 }
 
@@ -153,43 +154,43 @@ TEST(ExtremeConfig, TinyOmegaStillCorrect) {
   cfg.host.endpoint.omega = 2 * kMillisecond;
   cfg.host.endpoint.omega_big = 50 * kMillisecond;
   cfg.host.tick_interval = 1 * kMillisecond;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2});
   for (int i = 0; i < 10; ++i) {
     w.multicast(static_cast<ProcessId>(i % 3), 1, "t" + std::to_string(i));
     w.run_for(5 * kMillisecond);
   }
   w.run_for(2 * kSecond);
-  const auto ref = w.process(0).delivered_strings(1);
+  const auto ref = w.log(0).delivered_strings(1);
   EXPECT_EQ(ref.size(), 10u);
-  EXPECT_EQ(w.process(1).delivered_strings(1), ref);
-  EXPECT_EQ(w.process(2).delivered_strings(1), ref);
+  EXPECT_EQ(w.log(1).delivered_strings(1), ref);
+  EXPECT_EQ(w.log(2).delivered_strings(1), ref);
 }
 
 TEST(ExtremeConfig, HugeGroupFortyMembers) {
   WorldConfig cfg = world_cfg(40, /*seed=*/239);
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   std::vector<ProcessId> members;
   for (ProcessId p = 0; p < 40; ++p) members.push_back(p);
   w.create_group(1, members);
   w.multicast(17, 1, "big");
   w.multicast(33, 1, "group");
   w.run_for(5 * kSecond);
-  const auto ref = w.process(0).delivered_strings(1);
+  const auto ref = w.log(0).delivered_strings(1);
   ASSERT_EQ(ref.size(), 2u);
   for (ProcessId p = 1; p < 40; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1), ref) << "P" << p;
+    EXPECT_EQ(w.log(p).delivered_strings(1), ref) << "P" << p;
   }
 }
 
 TEST(ExtremeConfig, EmptyPayloadAndLargePayload) {
-  SimWorld w(world_cfg(2, /*seed=*/241));
+  LoggedWorld w(world_cfg(2, /*seed=*/241));
   w.create_group(1, {0, 1});
   w.ep(0).multicast(1, util::Bytes{}, w.now());          // empty
   util::Bytes big(64 * 1024, 0x5A);                      // 64 KiB
   w.ep(0).multicast(1, big, w.now());
   w.run_for(2 * kSecond);
-  const auto& dels = w.process(1).deliveries;
+  const auto dels = w.log(1).deliveries();
   ASSERT_EQ(dels.size(), 2u);
   EXPECT_TRUE(dels[0].delivery.payload.empty());
   EXPECT_EQ(dels[1].delivery.payload, big);

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -30,13 +31,13 @@ GroupOptions asym() {
   return o;
 }
 
-void expect_identical_delivery(SimWorld& w, GroupId g,
+void expect_identical_delivery(LoggedWorld& w, GroupId g,
                                const std::vector<ProcessId>& members,
                                std::size_t expect_count) {
-  const auto ref = w.process(members[0]).delivered_strings(g);
+  const auto ref = w.log(members[0]).delivered_strings(g);
   EXPECT_EQ(ref.size(), expect_count);
   for (ProcessId p : members) {
-    EXPECT_EQ(w.process(p).delivered_strings(g), ref) << "P" << p;
+    EXPECT_EQ(w.log(p).delivered_strings(g), ref) << "P" << p;
   }
 }
 
@@ -48,7 +49,7 @@ TEST(Asymmetric, SequencerIsLowestMember) {
 }
 
 TEST(Asymmetric, BasicTotalOrder) {
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 1, 2, 3}, asym());
   for (int i = 0; i < 10; ++i) {
     w.multicast(1 + (i % 3), 1, "m" + std::to_string(i));
@@ -59,33 +60,33 @@ TEST(Asymmetric, BasicTotalOrder) {
 }
 
 TEST(Asymmetric, SequencerOwnSendsWork) {
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2}, asym());
   w.multicast(0, 1, "from sequencer");  // P0 is the sequencer
   w.run_for(kSecond);
   expect_identical_delivery(w, 1, {0, 1, 2}, 1);
-  EXPECT_EQ(w.process(1).deliveries[0].delivery.sender, 0u);
+  EXPECT_EQ(w.log(1).deliveries()[0].delivery.sender, 0u);
 }
 
 TEST(Asymmetric, DeliveryWithoutWaitingForAllMembers) {
   // The asymmetric advantage: delivery needs only the sequencer's stream,
   // not nulls from every member. A message should deliver in ~2 hops even
   // though other members never speak.
-  SimWorld w(world_cfg(5));
+  LoggedWorld w(world_cfg(5));
   w.create_group(1, {0, 1, 2, 3, 4}, asym());
   w.multicast(4, 1, "quick");
   // 2 network hops at <=6ms each plus processing: well under omega.
   w.run_for(30 * kMillisecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             std::vector<std::string>{"quick"});
 }
 
 TEST(Asymmetric, FifoPerOriginPreserved) {
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2}, asym());
   for (int i = 0; i < 20; ++i) w.multicast(2, 1, "s" + std::to_string(i));
   w.run_for(2 * kSecond);
-  const auto got = w.process(1).delivered_strings(1);
+  const auto got = w.log(1).delivered_strings(1);
   ASSERT_EQ(got.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got[i], "s" + std::to_string(i));
 }
@@ -93,7 +94,7 @@ TEST(Asymmetric, FifoPerOriginPreserved) {
 TEST(Asymmetric, SenderLearnsOrderFromEcho) {
   // The origin delivers its own message only when the sequencer's echo
   // returns — and at the sequencer-assigned position.
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2}, asym());
   w.multicast(1, 1, "a");  // non-sequencer
   w.multicast(2, 1, "b");  // non-sequencer
@@ -102,7 +103,7 @@ TEST(Asymmetric, SenderLearnsOrderFromEcho) {
 }
 
 TEST(Asymmetric, CrashOfMemberDetectedAndExcluded) {
-  SimWorld w(world_cfg(4, /*seed=*/67));
+  LoggedWorld w(world_cfg(4, /*seed=*/67));
   w.create_group(1, {0, 1, 2, 3}, asym());
   w.run_for(300 * kMillisecond);
   w.crash(2);
@@ -121,7 +122,7 @@ TEST(Asymmetric, SequencerFailoverReroutesAndRedelivers) {
   // The extension the paper defers to [7]: the sequencer crashes; the new
   // view picks the next-lowest member; outstanding unicasts are
   // re-submitted and delivered exactly once, identically everywhere.
-  SimWorld w(world_cfg(4, /*seed=*/71));
+  LoggedWorld w(world_cfg(4, /*seed=*/71));
   w.create_group(1, {0, 1, 2, 3}, asym());
   w.run_for(300 * kMillisecond);
   w.multicast(1, 1, "pre-crash");
@@ -138,9 +139,9 @@ TEST(Asymmetric, SequencerFailoverReroutesAndRedelivers) {
       w.now() + 20 * kSecond));
   w.multicast(3, 1, "post-failover");
   w.run_for(3 * kSecond);
-  const auto d1 = w.process(1).delivered_strings(1);
-  const auto d2 = w.process(2).delivered_strings(1);
-  const auto d3 = w.process(3).delivered_strings(1);
+  const auto d1 = w.log(1).delivered_strings(1);
+  const auto d2 = w.log(2).delivered_strings(1);
+  const auto d3 = w.log(3).delivered_strings(1);
   EXPECT_EQ(d1, d2);
   EXPECT_EQ(d1, d3);
   // "limbo" must survive via re-submission, exactly once.
@@ -154,7 +155,7 @@ TEST(Asymmetric, SendBlockingRuleAcrossTwoAsymGroups) {
   // delayed until the first has come back from its sequencer. Observable
   // through the sends_blocked stat and — crucially — through order: the
   // counters assigned must respect the submission order.
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 3}, asym());   // sequencer P0
   w.create_group(2, {1, 3}, asym());   // sequencer P1
   w.run_for(300 * kMillisecond);
@@ -166,7 +167,7 @@ TEST(Asymmetric, SendBlockingRuleAcrossTwoAsymGroups) {
   EXPECT_EQ(w.ep(3).queued_sends(), 0u);
   EXPECT_GT(w.ep(3).stats().sends_blocked, 0u);
   // Causal order across groups at the common member P3 (MD4').
-  const auto& dels = w.process(3).deliveries;
+  const auto dels = w.log(3).deliveries();
   std::size_t i1 = SIZE_MAX, i2 = SIZE_MAX;
   for (std::size_t i = 0; i < dels.size(); ++i) {
     const auto s = simhost::to_string(dels[i].delivery.payload);
@@ -181,21 +182,21 @@ TEST(Asymmetric, SendBlockingRuleAcrossTwoAsymGroups) {
 TEST(Asymmetric, SameGroupSendsDoNotBlock) {
   // The blocking rules only cover m'.g != m.g: two quick sends in the
   // same asymmetric group go out immediately.
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 2}, asym());
   w.run_for(300 * kMillisecond);
   w.multicast(2, 1, "a");
   w.multicast(2, 1, "b");
   EXPECT_EQ(w.ep(2).queued_sends(), 0u);
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(2).delivered_strings(1),
+  EXPECT_EQ(w.log(2).delivered_strings(1),
             (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(MixedMode, SymmetricSendBlockedByOutstandingUnicast) {
   // §4.3 Mixed-mode Blocking Rule: even a *multicast* (symmetric group)
   // waits for outstanding unicasts in other groups.
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 3}, asym());  // P3 non-sequencer
   w.create_group(2, {1, 2, 3});       // symmetric
   w.run_for(300 * kMillisecond);
@@ -205,7 +206,7 @@ TEST(MixedMode, SymmetricSendBlockedByOutstandingUnicast) {
   w.run_for(2 * kSecond);
   EXPECT_EQ(w.ep(3).queued_sends(), 0u);
   // Cross-group order at P3 respects submission order.
-  const auto& dels = w.process(3).deliveries;
+  const auto dels = w.log(3).deliveries();
   ASSERT_EQ(dels.size(), 2u);
   EXPECT_EQ(simhost::to_string(dels[0].delivery.payload), "unicast-first");
   EXPECT_EQ(simhost::to_string(dels[1].delivery.payload),
@@ -215,7 +216,7 @@ TEST(MixedMode, SymmetricSendBlockedByOutstandingUnicast) {
 TEST(MixedMode, SymmetricOnlyProcessNeverBlocks) {
   // §7: "If only symmetric version is used, Newtop is totally
   // non-blocking on send operations."
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 1, 3});
   w.create_group(2, {1, 2, 3});
   w.run_for(300 * kMillisecond);
@@ -226,14 +227,14 @@ TEST(MixedMode, SymmetricOnlyProcessNeverBlocks) {
   EXPECT_EQ(w.ep(3).queued_sends(), 0u);
   EXPECT_EQ(w.ep(3).stats().sends_blocked, 0u);
   w.run_for(3 * kSecond);
-  EXPECT_EQ(w.process(3).deliveries.size(), 20u);
+  EXPECT_EQ(w.log(3).deliveries().size(), 20u);
 }
 
 TEST(MixedMode, TotalOrderAcrossSymAndAsymGroups) {
   // The generic version: common members of a symmetric and an asymmetric
   // group deliver the union in one agreed order (made possible by the
   // shared numbering scheme, §4.3).
-  SimWorld w(world_cfg(4, /*seed=*/73));
+  LoggedWorld w(world_cfg(4, /*seed=*/73));
   w.create_group(1, {0, 1, 2, 3});          // symmetric
   w.create_group(2, {0, 1, 2, 3}, asym());  // asymmetric
   w.run_for(300 * kMillisecond);
@@ -246,7 +247,7 @@ TEST(MixedMode, TotalOrderAcrossSymAndAsymGroups) {
   w.run_for(3 * kSecond);
   auto merged = [&](ProcessId p) {
     std::vector<std::string> out;
-    for (const auto& r : w.process(p).deliveries) {
+    for (const auto& r : w.log(p).deliveries()) {
       out.push_back(simhost::to_string(r.delivery.payload));
     }
     return out;
@@ -257,7 +258,7 @@ TEST(MixedMode, TotalOrderAcrossSymAndAsymGroups) {
 }
 
 TEST(Asymmetric, LeaveFromAsymmetricGroup) {
-  SimWorld w(world_cfg(3, /*seed=*/79));
+  LoggedWorld w(world_cfg(3, /*seed=*/79));
   w.create_group(1, {0, 1, 2}, asym());
   w.run_for(300 * kMillisecond);
   w.multicast(2, 1, "bye-soon");
@@ -269,12 +270,12 @@ TEST(Asymmetric, LeaveFromAsymmetricGroup) {
         return v && v->members == std::vector<ProcessId>{0, 1};
       },
       w.now() + 15 * kSecond));
-  EXPECT_EQ(w.process(0).delivered_strings(1),
+  EXPECT_EQ(w.log(0).delivered_strings(1),
             (std::vector<std::string>{"bye-soon"}));
 }
 
 TEST(Asymmetric, SequencerLeavesGracefully) {
-  SimWorld w(world_cfg(3, /*seed=*/83));
+  LoggedWorld w(world_cfg(3, /*seed=*/83));
   w.create_group(1, {0, 1, 2}, asym());
   w.run_for(300 * kMillisecond);
   w.ep(0).leave_group(1, w.now());
@@ -286,7 +287,7 @@ TEST(Asymmetric, SequencerLeavesGracefully) {
       w.now() + 15 * kSecond));
   w.multicast(2, 1, "new regime");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             (std::vector<std::string>{"new regime"}));
 }
 
@@ -297,7 +298,7 @@ TEST(Asymmetric, FailureFreeModeOnlySequencerSendsNulls) {
   GroupOptions o;
   o.mode = OrderMode::kAsymmetric;
   o.failure_free = true;
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 1, 2, 3}, o);
   w.run_for(2 * kSecond);
   EXPECT_GT(w.ep(0).stats().nulls_sent, 0u);   // sequencer
@@ -306,7 +307,7 @@ TEST(Asymmetric, FailureFreeModeOnlySequencerSendsNulls) {
   w.multicast(3, 1, "still delivers");
   w.run_for(kSecond);
   for (ProcessId p = 0; p < 4; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               std::vector<std::string>{"still delivers"});
   }
   // No suspicions despite the silence: the suspector is off.
@@ -318,7 +319,7 @@ TEST(Asymmetric, FailureFreeSymmetricStillNeedsAllNulls) {
   // every member, since D is the minimum over all receive vector entries.
   GroupOptions o;
   o.failure_free = true;
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2}, o);
   w.run_for(2 * kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
@@ -326,7 +327,7 @@ TEST(Asymmetric, FailureFreeSymmetricStillNeedsAllNulls) {
   }
   w.multicast(0, 1, "sym ff");
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(2).delivered_strings(1),
+  EXPECT_EQ(w.log(2).delivered_strings(1),
             std::vector<std::string>{"sym ff"});
 }
 
@@ -334,11 +335,11 @@ TEST(Asymmetric, AtomicOnlyAsymmetricGroup) {
   GroupOptions o;
   o.mode = OrderMode::kAsymmetric;
   o.guarantee = Guarantee::kAtomicOnly;
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2}, o);
   w.multicast(2, 1, "atomic");
   w.run_for(100 * kMillisecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             std::vector<std::string>{"atomic"});
 }
 

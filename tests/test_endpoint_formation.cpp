@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -31,20 +32,20 @@ bool formed(SimWorld& w, ProcessId p, GroupId g) {
 }
 
 TEST(Formation, ThreeProcessGroupForms) {
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.ep(0).initiate_group(1, {0, 1, 2}, {}, w.now());
   ASSERT_TRUE(w.run_until_pred(
       [&] { return formed(w, 0, 1) && formed(w, 1, 1) && formed(w, 2, 1); },
       10 * kSecond));
   for (ProcessId p = 0; p < 3; ++p) {
-    ASSERT_EQ(w.process(p).formations.size(), 1u);
-    EXPECT_EQ(w.process(p).formations[0].outcome, FormationOutcome::kFormed);
+    ASSERT_EQ(w.log(p).formations().size(), 1u);
+    EXPECT_EQ(w.log(p).formations()[0].outcome, FormationOutcome::kFormed);
     EXPECT_EQ(w.ep(p).view(1)->members, (std::vector<ProcessId>{0, 1, 2}));
   }
 }
 
 TEST(Formation, MessagesFlowAfterFormation) {
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.ep(0).initiate_group(1, {0, 1, 2}, {}, w.now());
   ASSERT_TRUE(w.run_until_pred(
       [&] { return formed(w, 0, 1) && formed(w, 1, 1) && formed(w, 2, 1); },
@@ -52,20 +53,20 @@ TEST(Formation, MessagesFlowAfterFormation) {
   w.multicast(0, 1, "first post");
   w.run_for(2 * kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               std::vector<std::string>{"first post"});
   }
 }
 
 TEST(Formation, SendsQueuedDuringFormationAreDeliveredAfter) {
   // multicast() during formation queues locally and flushes at step 5.
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.ep(0).initiate_group(1, {0, 1, 2}, {}, w.now());
   EXPECT_EQ(w.ep(0).multicast(1, simhost::to_bytes("eager"), w.now()),
             SendResult::kQueued);
   w.run_for(5 * kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               std::vector<std::string>{"eager"})
         << "P" << p;
   }
@@ -75,7 +76,7 @@ TEST(Formation, AbortDropsSendsQueuedDuringFormation) {
   // Sends parked during a formation die with it: after the initiator's
   // timeout veto, nothing stays queued, and re-creating the same group
   // id must not replay the doomed payload into the new membership.
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.crash(2);  // invitee never votes -> initiator vetoes on timeout
   w.ep(0).initiate_group(1, {0, 1, 2}, {}, w.now());
   EXPECT_EQ(w.ep(0).multicast(1, simhost::to_bytes("doomed"), w.now()),
@@ -93,13 +94,13 @@ TEST(Formation, AbortDropsSendsQueuedDuringFormation) {
   w.ep(1).create_group(1, {0, 1}, {}, w.now());
   w.multicast(0, 1, "fresh");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             std::vector<std::string>{"fresh"});
 }
 
 TEST(Formation, VetoAbortsEveryone) {
   WorldConfig cfg = world_cfg(3);
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   // P2 refuses all invitations.
   // (Hook must be set before the invite arrives; SimProcess exposes the
   // endpoint, but hooks are fixed at construction — so emulate a veto by
@@ -112,12 +113,12 @@ TEST(Formation, VetoAbortsEveryone) {
   w.ep(0).initiate_group(1, {0, 1, 2}, {}, w.now());
   ASSERT_TRUE(w.run_until_pred(
       [&] {
-        return !w.process(0).formations.empty() &&
-               !w.process(1).formations.empty();
+        return !w.log(0).formations().empty() &&
+               !w.log(1).formations().empty();
       },
       20 * kSecond));
-  EXPECT_NE(w.process(0).formations[0].outcome, FormationOutcome::kFormed);
-  EXPECT_NE(w.process(1).formations[0].outcome, FormationOutcome::kFormed);
+  EXPECT_NE(w.log(0).formations()[0].outcome, FormationOutcome::kFormed);
+  EXPECT_NE(w.log(1).formations()[0].outcome, FormationOutcome::kFormed);
   EXPECT_FALSE(w.ep(0).is_member(1));
   EXPECT_FALSE(w.ep(1).is_member(1));
 }
@@ -139,7 +140,7 @@ TEST(Formation, MemberCrashDuringStartGroupWaitResolved) {
   // A member dies after voting yes but (possibly) before its start-group
   // reaches everyone: the remaining members' GV excludes it and the
   // formation completes on the shrunken view (§5.3 step 5 note).
-  SimWorld w(world_cfg(4, /*seed=*/97));
+  LoggedWorld w(world_cfg(4, /*seed=*/97));
   // Slow P3 down so its vote arrives but its start-group doesn't.
   w.ep(0).initiate_group(1, {0, 1, 2, 3}, {}, w.now());
   w.run_for(8 * kMillisecond);  // votes are out
@@ -150,7 +151,7 @@ TEST(Formation, MemberCrashDuringStartGroupWaitResolved) {
   w.multicast(0, 1, "works");
   w.run_for(2 * kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
-    const auto d = w.process(p).delivered_strings(1);
+    const auto d = w.log(p).delivered_strings(1);
     EXPECT_EQ(d, std::vector<std::string>{"works"}) << "P" << p;
   }
 }
@@ -158,7 +159,7 @@ TEST(Formation, MemberCrashDuringStartGroupWaitResolved) {
 TEST(Formation, NewGroupDoesNotReorderExistingGroups) {
   // While a formation is in flight, the initiator's deliveries in its
   // existing groups continue and stay identical to other members'.
-  SimWorld w(world_cfg(4, /*seed=*/101));
+  LoggedWorld w(world_cfg(4, /*seed=*/101));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   w.ep(0).initiate_group(2, {0, 1}, {}, w.now());
@@ -169,17 +170,17 @@ TEST(Formation, NewGroupDoesNotReorderExistingGroups) {
   ASSERT_TRUE(w.run_until_pred(
       [&] { return formed(w, 0, 2) && formed(w, 1, 2); }, 10 * kSecond));
   w.run_for(3 * kSecond);
-  const auto ref = w.process(0).delivered_strings(1);
+  const auto ref = w.log(0).delivered_strings(1);
   EXPECT_EQ(ref.size(), 10u);
   for (ProcessId p = 1; p < 4; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(1), ref) << "P" << p;
+    EXPECT_EQ(w.log(p).delivered_strings(1), ref) << "P" << p;
   }
 }
 
 TEST(Formation, CrossGroupOrderWithNewGroup) {
   // MD4' with a dynamically formed group: messages in old g1 and new g2
   // interleave identically at common members P0, P1.
-  SimWorld w(world_cfg(3, /*seed=*/103));
+  LoggedWorld w(world_cfg(3, /*seed=*/103));
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.ep(0).initiate_group(2, {0, 1}, {}, w.now());
@@ -194,7 +195,7 @@ TEST(Formation, CrossGroupOrderWithNewGroup) {
   w.run_for(3 * kSecond);
   auto merged = [&](ProcessId p) {
     std::vector<std::string> out;
-    for (const auto& r : w.process(p).deliveries) {
+    for (const auto& r : w.log(p).deliveries()) {
       out.push_back(simhost::to_string(r.delivery.payload));
     }
     return out;
@@ -207,7 +208,7 @@ TEST(Formation, CrossGroupOrderWithNewGroup) {
 TEST(Formation, AsymmetricGroupFormsAndOrders) {
   GroupOptions o;
   o.mode = OrderMode::kAsymmetric;
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.ep(1).initiate_group(5, {0, 1, 2}, o, w.now());
   ASSERT_TRUE(w.run_until_pred(
       [&] { return formed(w, 0, 5) && formed(w, 1, 5) && formed(w, 2, 5); },
@@ -216,26 +217,26 @@ TEST(Formation, AsymmetricGroupFormsAndOrders) {
   w.multicast(2, 5, "via sequencer");
   w.run_for(kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(5),
+    EXPECT_EQ(w.log(p).delivered_strings(5),
               std::vector<std::string>{"via sequencer"});
   }
 }
 
 TEST(Formation, SingletonGroupFormsImmediately) {
-  SimWorld w(world_cfg(2));
+  LoggedWorld w(world_cfg(2));
   w.ep(0).initiate_group(9, {0}, {}, w.now());
   w.run_for(100 * kMillisecond);
   EXPECT_TRUE(formed(w, 0, 9));
   w.multicast(0, 9, "note to self");
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(0).delivered_strings(9),
+  EXPECT_EQ(w.log(0).delivered_strings(9),
             std::vector<std::string>{"note to self"});
 }
 
 TEST(Formation, RejoinAfterDepartureViaNewGroup) {
   // §3: "Processes wishing to join their former co-members do so by
   // forming a new group" — the paper's replacement for explicit joins.
-  SimWorld w(world_cfg(3, /*seed=*/107));
+  LoggedWorld w(world_cfg(3, /*seed=*/107));
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.ep(2).leave_group(1, w.now());
@@ -253,7 +254,7 @@ TEST(Formation, RejoinAfterDepartureViaNewGroup) {
   w.multicast(2, 2, "i'm back");
   w.run_for(2 * kSecond);
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(2),
+    EXPECT_EQ(w.log(p).delivered_strings(2),
               std::vector<std::string>{"i'm back"});
   }
 }
@@ -263,7 +264,7 @@ TEST(Formation, Fig1OnlineServerMigration) {
   // migrate to a new machine hosting P3. P3 forms g2 = {P1, P2, P3};
   // state transfer happens in g2 while g1 keeps serving; then P2 departs
   // from both, leaving g1 = {P1} and g2 = {P1, P3} as the server group.
-  SimWorld w(world_cfg(4, /*seed=*/109));
+  LoggedWorld w(world_cfg(4, /*seed=*/109));
   const ProcessId p1 = 1, p2 = 2, p3 = 3, client = 0;
   w.create_group(1, {p1, p2});  // server group g1
   w.run_for(300 * kMillisecond);
@@ -284,7 +285,7 @@ TEST(Formation, Fig1OnlineServerMigration) {
   w.multicast(p1, 1, "req-2");
   w.multicast(p1, 2, "state-chunk-2");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(p3).delivered_strings(2),
+  EXPECT_EQ(w.log(p3).delivered_strings(2),
             (std::vector<std::string>{"state-chunk-1", "state-chunk-2"}));
 
   // P2 departs from both groups.
@@ -305,13 +306,13 @@ TEST(Formation, Fig1OnlineServerMigration) {
   // Service continues in the surviving group g2.
   w.multicast(p1, 2, "req-3");
   w.run_for(2 * kSecond);
-  const auto d3 = w.process(p3).delivered_strings(2);
+  const auto d3 = w.log(p3).delivered_strings(2);
   EXPECT_EQ(std::count(d3.begin(), d3.end(), std::string("req-3")), 1);
   (void)client;
 }
 
 TEST(Formation, ConcurrentFormationsDoNotInterfere) {
-  SimWorld w(world_cfg(4, /*seed=*/113));
+  LoggedWorld w(world_cfg(4, /*seed=*/113));
   w.ep(0).initiate_group(1, {0, 1}, {}, w.now());
   w.ep(2).initiate_group(2, {2, 3}, {}, w.now());
   w.ep(1).initiate_group(3, {1, 2}, {}, w.now());
@@ -325,11 +326,11 @@ TEST(Formation, ConcurrentFormationsDoNotInterfere) {
   w.multicast(2, 2, "b");
   w.multicast(1, 3, "c");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             std::vector<std::string>{"a"});
-  EXPECT_EQ(w.process(3).delivered_strings(2),
+  EXPECT_EQ(w.log(3).delivered_strings(2),
             std::vector<std::string>{"b"});
-  EXPECT_EQ(w.process(2).delivered_strings(3),
+  EXPECT_EQ(w.log(2).delivered_strings(3),
             std::vector<std::string>{"c"});
 }
 

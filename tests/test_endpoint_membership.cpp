@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -37,7 +38,7 @@ bool view_is(SimWorld& w, ProcessId p, GroupId g,
 }
 
 TEST(Membership, CrashDetectedAndViewInstalled) {
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);  // settle
   w.crash(3);
@@ -50,13 +51,13 @@ TEST(Membership, CrashDetectedAndViewInstalled) {
       << "survivors never agreed on the crash";
   // VC1: all survivors installed the same view sequence.
   for (ProcessId p : {0u, 1u, 2u}) {
-    ASSERT_EQ(w.process(p).views.size(), 1u) << "P" << p;
-    EXPECT_EQ(w.process(p).views[0].view.seq, 1u);
+    ASSERT_EQ(w.log(p).views().size(), 1u) << "P" << p;
+    EXPECT_EQ(w.log(p).views()[0].view.seq, 1u);
   }
 }
 
 TEST(Membership, DeliveryContinuesAfterViewChange) {
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2});
   w.multicast(0, 1, "before");
   w.run_for(300 * kMillisecond);
@@ -67,7 +68,7 @@ TEST(Membership, DeliveryContinuesAfterViewChange) {
   w.multicast(1, 1, "after");
   w.run_for(2 * kSecond);
   for (ProcessId p : {0u, 1u}) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               (std::vector<std::string>{"before", "after"}))
         << "P" << p;
   }
@@ -76,14 +77,14 @@ TEST(Membership, DeliveryContinuesAfterViewChange) {
 TEST(Membership, MessageDeliveredBeforeCrashCutoffSurvives) {
   // A message the crashed process sent (and everyone received) before
   // dying is delivered by all survivors in the pre-change view.
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.multicast(2, 1, "last words");
   ASSERT_TRUE(w.run_until_pred(
       [&] {
-        return w.process(0).delivered_strings(1).size() == 1 &&
-               w.process(1).delivered_strings(1).size() == 1;
+        return w.log(0).delivered_strings(1).size() == 1 &&
+               w.log(1).delivered_strings(1).size() == 1;
       },
       w.now() + 5 * kSecond));
   w.crash(2);
@@ -91,7 +92,7 @@ TEST(Membership, MessageDeliveredBeforeCrashCutoffSurvives) {
       [&] { return view_is(w, 0, 1, {0, 1}) && view_is(w, 1, 1, {0, 1}); },
       w.now() + 10 * kSecond));
   for (ProcessId p : {0u, 1u}) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               (std::vector<std::string>{"last words"}));
   }
 }
@@ -100,7 +101,7 @@ TEST(Membership, PartialMulticastResolvedConsistently) {
   // Example 1 setup: the crash interrupts a multicast so only some
   // destinations receive it. Survivors must either all deliver it (via
   // refute recovery) or none (discarded by the lnmn cut) — never a split.
-  SimWorld w(world_cfg(4, /*seed=*/7));
+  LoggedWorld w(world_cfg(4, /*seed=*/7));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   // P3's multicast reaches at most 1 peer datagram before the crash.
@@ -113,9 +114,9 @@ TEST(Membership, PartialMulticastResolvedConsistently) {
       },
       w.now() + 15 * kSecond));
   w.run_for(kSecond);
-  const auto d0 = w.process(0).delivered_strings(1);
-  EXPECT_EQ(d0, w.process(1).delivered_strings(1));
-  EXPECT_EQ(d0, w.process(2).delivered_strings(1));
+  const auto d0 = w.log(0).delivered_strings(1);
+  EXPECT_EQ(d0, w.log(1).delivered_strings(1));
+  EXPECT_EQ(d0, w.log(2).delivered_strings(1));
 }
 
 TEST(Membership, Example1CrashChainNoOrphanDelivery) {
@@ -124,7 +125,7 @@ TEST(Membership, Example1CrashChainNoOrphanDelivery) {
   // before refuting the others' suspicion of Pr. Pi and Pj must not
   // deliver m' when m cannot be delivered — they detect Pr and Ps
   // together and the lnmn cut discards m'.
-  SimWorld w(world_cfg(4, /*seed=*/11));
+  LoggedWorld w(world_cfg(4, /*seed=*/11));
   const ProcessId pi = 0, pj = 1, pr = 2, ps = 3;
   w.create_group(1, {pi, pj, pr, ps});
   w.run_for(300 * kMillisecond);
@@ -139,7 +140,7 @@ TEST(Membership, Example1CrashChainNoOrphanDelivery) {
   // Let Ps deliver m (possible once D catches up) and send m'.
   ASSERT_TRUE(w.run_until_pred(
       [&] {
-        const auto d = w.process(ps).delivered_strings(1);
+        const auto d = w.log(ps).delivered_strings(1);
         return std::find(d.begin(), d.end(), "m") != d.end();
       },
       w.now() + 15 * kSecond))
@@ -158,14 +159,14 @@ TEST(Membership, Example1CrashChainNoOrphanDelivery) {
 
   // MD5: m' must not be delivered anywhere m was not.
   for (ProcessId p : {pi, pj}) {
-    const auto d = w.process(p).delivered_strings(1);
+    const auto d = w.log(p).delivered_strings(1);
     const bool has_m = std::find(d.begin(), d.end(), "m") != d.end();
     const bool has_mp = std::find(d.begin(), d.end(), "m'") != d.end();
     EXPECT_FALSE(has_mp && !has_m)
         << "P" << p << " delivered m' without its causal prefix m";
   }
-  EXPECT_EQ(w.process(pi).delivered_strings(1),
-            w.process(pj).delivered_strings(1));
+  EXPECT_EQ(w.log(pi).delivered_strings(1),
+            w.log(pj).delivered_strings(1));
 }
 
 TEST(Membership, FalseSuspicionRefutedByThirdParty) {
@@ -192,7 +193,7 @@ TEST(Membership, FalseSuspicionRefutedByThirdParty) {
 TEST(Membership, RecoveryDeliversMissedMessages) {
   // P0 misses P2's messages during a one-way outage; after refutation and
   // recovery P0's delivery sequence must equal everyone else's.
-  SimWorld w(world_cfg(3, /*seed=*/17));
+  LoggedWorld w(world_cfg(3, /*seed=*/17));
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.network().set_link_down(2, 0, true);
@@ -201,8 +202,8 @@ TEST(Membership, RecoveryDeliversMissedMessages) {
   w.run_for(100 * kMillisecond);
   w.network().set_link_down(2, 0, false);
   w.run_for(5 * kSecond);
-  const auto d0 = w.process(0).delivered_strings(1);
-  const auto d1 = w.process(1).delivered_strings(1);
+  const auto d0 = w.log(0).delivered_strings(1);
+  const auto d1 = w.log(1).delivered_strings(1);
   EXPECT_EQ(d0, d1);
   EXPECT_EQ(d0.size(), 2u);
 }
@@ -247,7 +248,7 @@ TEST(Membership, LeaveIsFasterThanCrashDetection) {
 TEST(Membership, LeaverMessagesAllDeliveredBeforeViewChange) {
   // VC3/MD3: messages the leaver sent before its Leave are delivered to
   // everyone in the old view.
-  SimWorld w(world_cfg(3));
+  LoggedWorld w(world_cfg(3));
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.multicast(2, 1, "parting1");
@@ -257,7 +258,7 @@ TEST(Membership, LeaverMessagesAllDeliveredBeforeViewChange) {
       [&] { return view_is(w, 0, 1, {0, 1}) && view_is(w, 1, 1, {0, 1}); },
       w.now() + 10 * kSecond));
   for (ProcessId p : {0u, 1u}) {
-    EXPECT_EQ(w.process(p).delivered_strings(1),
+    EXPECT_EQ(w.log(p).delivered_strings(1),
               (std::vector<std::string>{"parting1", "parting2"}))
         << "P" << p;
   }
@@ -267,7 +268,7 @@ TEST(Membership, PartitionSplitsIntoConsistentSubgroups) {
   // The headline partitionable-membership property: after a partition,
   // each side installs a view containing exactly its own side (i), and
   // the concurrent views are non-intersecting once stabilised (ii).
-  SimWorld w(world_cfg(4, /*seed=*/23));
+  LoggedWorld w(world_cfg(4, /*seed=*/23));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   w.partition({{0, 1}, {2, 3}});
@@ -283,14 +284,14 @@ TEST(Membership, PartitionSplitsIntoConsistentSubgroups) {
   w.multicast(0, 1, "sideA");
   w.multicast(2, 1, "sideB");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1).back(), "sideA");
-  EXPECT_EQ(w.process(3).delivered_strings(1).back(), "sideB");
+  EXPECT_EQ(w.log(1).delivered_strings(1).back(), "sideA");
+  EXPECT_EQ(w.log(3).delivered_strings(1).back(), "sideB");
 }
 
 TEST(Membership, MinoritySubgroupSurvives) {
   // Unlike primary-partition protocols, a 1-vs-4 split leaves both sides
   // live (§2: "this requirement may not always be possible to meet").
-  SimWorld w(world_cfg(5, /*seed=*/29));
+  LoggedWorld w(world_cfg(5, /*seed=*/29));
   w.create_group(1, {0, 1, 2, 3, 4});
   w.run_for(300 * kMillisecond);
   w.partition({{0}, {1, 2, 3, 4}});
@@ -304,7 +305,7 @@ TEST(Membership, MinoritySubgroupSurvives) {
   // Singleton side still "operates".
   w.multicast(0, 1, "alone");
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(0).delivered_strings(1).back(), "alone");
+  EXPECT_EQ(w.log(0).delivered_strings(1).back(), "alone");
 }
 
 TEST(Membership, Example3ViewsStabiliseToNonIntersecting) {
@@ -371,7 +372,7 @@ TEST(Membership, TwoMemberGroupSplitsOnSilence) {
 }
 
 TEST(Membership, MultipleSimultaneousCrashesDetectedTogether) {
-  SimWorld w(world_cfg(5, /*seed=*/43));
+  LoggedWorld w(world_cfg(5, /*seed=*/43));
   w.create_group(1, {0, 1, 2, 3, 4});
   w.run_for(300 * kMillisecond);
   w.crash(3);
@@ -383,9 +384,9 @@ TEST(Membership, MultipleSimultaneousCrashesDetectedTogether) {
       },
       w.now() + 20 * kSecond));
   // All survivors installed identical view *sequences* (VC1).
-  const auto& v0 = w.process(0).views;
+  const auto v0 = w.log(0).views();
   for (ProcessId p : {1u, 2u}) {
-    const auto& vp = w.process(p).views;
+    const auto vp = w.log(p).views();
     ASSERT_EQ(vp.size(), v0.size()) << "P" << p;
     for (std::size_t i = 0; i < v0.size(); ++i) {
       EXPECT_EQ(vp[i].view.members, v0[i].view.members);
@@ -395,7 +396,7 @@ TEST(Membership, MultipleSimultaneousCrashesDetectedTogether) {
 }
 
 TEST(Membership, CascadingCrashesHandledSequentially) {
-  SimWorld w(world_cfg(5, /*seed=*/47));
+  LoggedWorld w(world_cfg(5, /*seed=*/47));
   w.create_group(1, {0, 1, 2, 3, 4});
   w.run_for(300 * kMillisecond);
   w.crash(4);
@@ -413,8 +414,8 @@ TEST(Membership, CascadingCrashesHandledSequentially) {
       },
       w.now() + 15 * kSecond));
   // VC1 across the whole cascade.
-  const auto& v0 = w.process(0).views;
-  const auto& v1 = w.process(1).views;
+  const auto v0 = w.log(0).views();
+  const auto v1 = w.log(1).views();
   ASSERT_EQ(v0.size(), v1.size());
   for (std::size_t i = 0; i < v0.size(); ++i) {
     EXPECT_EQ(v0[i].view.members, v1[i].view.members);
@@ -438,7 +439,7 @@ TEST(Membership, MultiGroupCrashRemovedFromAllSharedGroups) {
 TEST(Membership, CrossGroupDeliveryUnblocksAfterExclusion) {
   // Example 2 / MD5' mechanics: P0's delivery in g2 is gated by g1's D
   // while g1 contains a dead member; excluding it unblocks g2.
-  SimWorld w(world_cfg(4, /*seed=*/59));
+  LoggedWorld w(world_cfg(4, /*seed=*/59));
   w.create_group(1, {0, 3});       // g1: P0 with soon-dead P3
   w.create_group(2, {0, 1, 2});    // g2: live group
   w.run_for(300 * kMillisecond);
@@ -447,7 +448,7 @@ TEST(Membership, CrossGroupDeliveryUnblocksAfterExclusion) {
   // Eventually P3 is excluded from g1 and "gated" must deliver at P0.
   ASSERT_TRUE(w.run_until_pred(
       [&] {
-        const auto d = w.process(0).delivered_strings(2);
+        const auto d = w.log(0).delivered_strings(2);
         return std::find(d.begin(), d.end(), "gated") != d.end();
       },
       w.now() + 20 * kSecond));

@@ -8,6 +8,7 @@
 #include <map>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -27,20 +28,20 @@ WorldConfig small_world(std::size_t n, std::uint64_t seed = 1) {
 }
 
 // All processes must deliver the same sequence of payloads in a group.
-void expect_identical_delivery(SimWorld& w, GroupId g,
+void expect_identical_delivery(LoggedWorld& w, GroupId g,
                                const std::vector<ProcessId>& members,
                                std::size_t expect_count) {
-  const auto ref = w.process(members[0]).delivered_strings(g);
+  const auto ref = w.log(members[0]).delivered_strings(g);
   EXPECT_EQ(ref.size(), expect_count)
       << "P" << members[0] << " delivered wrong count";
   for (ProcessId p : members) {
-    EXPECT_EQ(w.process(p).delivered_strings(g), ref)
+    EXPECT_EQ(w.log(p).delivered_strings(g), ref)
         << "P" << p << " diverges from P" << members[0];
   }
 }
 
 TEST(Symmetric, SingleMessageDeliversEverywhere) {
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   w.multicast(0, 1, "hello");
   w.run_for(kSecond);
@@ -48,17 +49,17 @@ TEST(Symmetric, SingleMessageDeliversEverywhere) {
 }
 
 TEST(Symmetric, SenderDeliversOwnMessage) {
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   w.multicast(0, 1, "mine");
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(0).delivered_strings(1),
+  EXPECT_EQ(w.log(0).delivered_strings(1),
             std::vector<std::string>{"mine"});
-  EXPECT_EQ(w.process(0).deliveries[0].delivery.sender, 0u);
+  EXPECT_EQ(w.log(0).deliveries()[0].delivery.sender, 0u);
 }
 
 TEST(Symmetric, TotalOrderManySendersIdenticalEverywhere) {
-  SimWorld w(small_world(5));
+  LoggedWorld w(small_world(5));
   w.create_group(1, {0, 1, 2, 3, 4});
   for (int round = 0; round < 10; ++round) {
     for (ProcessId p = 0; p < 5; ++p) {
@@ -75,23 +76,23 @@ TEST(Symmetric, DeliveryRequiresTimeSilenceFromQuietMembers) {
   // With only one sender, messages become deliverable only after the
   // silent members' null messages raise D — the protocol's liveness
   // depends on time-silence (§4.1).
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   w.multicast(0, 1, "solo");
   // Before omega elapses, nothing can be delivered (D still 0).
   w.run_for(5 * kMillisecond);
-  EXPECT_TRUE(w.process(1).delivered_strings(1).empty());
+  EXPECT_TRUE(w.log(1).delivered_strings(1).empty());
   w.run_for(kSecond);
   expect_identical_delivery(w, 1, {0, 1, 2}, 1);
   EXPECT_GT(w.ep(0).stats().nulls_sent, 0u);
 }
 
 TEST(Symmetric, FifoOrderPerSenderPreserved) {
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   for (int i = 0; i < 20; ++i) w.multicast(0, 1, "s" + std::to_string(i));
   w.run_for(2 * kSecond);
-  const auto got = w.process(2).delivered_strings(1);
+  const auto got = w.log(2).delivered_strings(1);
   ASSERT_EQ(got.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got[i], "s" + std::to_string(i));
 }
@@ -99,16 +100,16 @@ TEST(Symmetric, FifoOrderPerSenderPreserved) {
 TEST(Symmetric, CausalOrderAcrossSenders) {
   // P0 multicasts a; P1 delivers a then multicasts b: a -> b must hold in
   // every delivery order (MD4 second clause).
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   w.multicast(0, 1, "a");
   ASSERT_TRUE(w.run_until_pred(
-      [&] { return !w.process(1).delivered_strings(1).empty(); },
+      [&] { return !w.log(1).delivered_strings(1).empty(); },
       5 * kSecond));
   w.multicast(1, 1, "b");
   w.run_for(2 * kSecond);
   for (ProcessId p : {0u, 1u, 2u}) {
-    const auto got = w.process(p).delivered_strings(1);
+    const auto got = w.log(p).delivered_strings(1);
     ASSERT_EQ(got.size(), 2u) << "P" << p;
     EXPECT_EQ(got[0], "a");
     EXPECT_EQ(got[1], "b");
@@ -118,11 +119,11 @@ TEST(Symmetric, CausalOrderAcrossSenders) {
 TEST(Symmetric, CountersStrictlyIncreasePerSender) {
   // pr1: send_i(m) -> send_i(m') => m.c < m'.c — visible in delivery
   // records.
-  SimWorld w(small_world(2));
+  LoggedWorld w(small_world(2));
   w.create_group(1, {0, 1});
   for (int i = 0; i < 5; ++i) w.multicast(0, 1, "x");
   w.run_for(kSecond);
-  const auto& dels = w.process(1).deliveries;
+  const auto dels = w.log(1).deliveries();
   Counter prev = 0;
   int from0 = 0;
   for (const auto& r : dels) {
@@ -138,7 +139,7 @@ TEST(Symmetric, CountersStrictlyIncreasePerSender) {
 TEST(Symmetric, MultiGroupMemberTotallyOrdersAcrossGroups) {
   // MD4': P1 and P2 are both in g1 and g2; messages of both groups must
   // interleave identically at both.
-  SimWorld w(small_world(4));
+  LoggedWorld w(small_world(4));
   w.create_group(1, {0, 1, 2});
   w.create_group(2, {1, 2, 3});
   for (int i = 0; i < 8; ++i) {
@@ -150,7 +151,7 @@ TEST(Symmetric, MultiGroupMemberTotallyOrdersAcrossGroups) {
   // Common members P1, P2 see one merged total order.
   auto merged = [&](ProcessId p) {
     std::vector<std::string> out;
-    for (const auto& r : w.process(p).deliveries) {
+    for (const auto& r : w.log(p).deliveries()) {
       out.push_back(simhost::to_string(r.delivery.payload));
     }
     return out;
@@ -164,16 +165,16 @@ TEST(Symmetric, MultiGroupMemberTotallyOrdersAcrossGroups) {
 TEST(Symmetric, CrossGroupCausalityMD5Prime) {
   // m1 in g1 (P0 -> P1), then P1 sends m2 in g2; P2 in g2 must deliver m2
   // after... and since P2 is also in g1, m1 must precede m2 at P2 (MD4').
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   w.create_group(2, {1, 2});
   w.multicast(0, 1, "m1");
   ASSERT_TRUE(w.run_until_pred(
-      [&] { return !w.process(1).delivered_strings(1).empty(); },
+      [&] { return !w.log(1).delivered_strings(1).empty(); },
       5 * kSecond));
   w.multicast(1, 2, "m2");
   w.run_for(2 * kSecond);
-  const auto& dels = w.process(2).deliveries;
+  const auto dels = w.log(2).deliveries();
   std::size_t i1 = SIZE_MAX, i2 = SIZE_MAX;
   for (std::size_t i = 0; i < dels.size(); ++i) {
     const auto s = simhost::to_string(dels[i].delivery.payload);
@@ -188,7 +189,7 @@ TEST(Symmetric, CrossGroupCausalityMD5Prime) {
 TEST(Symmetric, TieBreakIsDeterministicAcrossProcesses) {
   // Simultaneous multicasts from distinct senders often carry the same
   // counter; safe2's fixed tie-break must produce identical orders.
-  SimWorld w(small_world(4, /*seed=*/99));
+  LoggedWorld w(small_world(4, /*seed=*/99));
   w.create_group(1, {0, 1, 2, 3});
   for (int round = 0; round < 15; ++round) {
     for (ProcessId p = 0; p < 4; ++p) {
@@ -202,22 +203,22 @@ TEST(Symmetric, TieBreakIsDeterministicAcrossProcesses) {
 }
 
 TEST(Symmetric, PayloadIntegrity) {
-  SimWorld w(small_world(2));
+  LoggedWorld w(small_world(2));
   w.create_group(1, {0, 1});
   util::Bytes binary;
   for (int i = 0; i < 256; ++i) binary.push_back(static_cast<uint8_t>(i));
   w.ep(0).multicast(1, binary, w.now());
   w.run_for(kSecond);
-  ASSERT_EQ(w.process(1).deliveries.size(), 1u);
-  EXPECT_EQ(w.process(1).deliveries[0].delivery.payload, binary);
+  ASSERT_EQ(w.log(1).deliveries().size(), 1u);
+  EXPECT_EQ(w.log(1).deliveries()[0].delivery.payload, binary);
 }
 
 TEST(Symmetric, NullsAreNotDeliveredToApplication) {
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2});
   w.run_for(2 * kSecond);  // plenty of time-silence traffic
   for (ProcessId p = 0; p < 3; ++p) {
-    EXPECT_TRUE(w.process(p).deliveries.empty());
+    EXPECT_TRUE(w.log(p).deliveries().empty());
   }
   EXPECT_GT(w.ep(0).stats().nulls_sent, 5u);
 }
@@ -236,7 +237,7 @@ TEST(Symmetric, BackpressureOverSimWorldDrainsAndSignalsWindow) {
   WorldConfig cfg = small_world(3);
   cfg.host.endpoint.flow_window = 4;
   cfg.host.endpoint.max_pending_sends = 8;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2});
 
   GroupHandle h = w.group(0, 1);
@@ -251,8 +252,8 @@ TEST(Symmetric, BackpressureOverSimWorldDrainsAndSignalsWindow) {
   EXPECT_LE(w.ep(0).queued_sends(), 8u);
 
   w.run_for(3 * kSecond);
-  EXPECT_GE(w.process(0).send_windows.size(), 1u);
-  EXPECT_EQ(w.process(0).send_windows[0].event.group, 1u);
+  EXPECT_GE(w.log(0).send_windows().size(), 1u);
+  EXPECT_EQ(w.log(0).send_windows()[0].event.group, 1u);
   expect_identical_delivery(w, 1, {0, 1, 2},
                             static_cast<std::size_t>(counts.accepted()));
   EXPECT_EQ(w.ep(0).stats().sends_rejected, counts.backpressure);
@@ -274,12 +275,12 @@ TEST(Symmetric, StabilityBoundsRetention) {
 TEST(Symmetric, AtomicOnlyDeliversWithoutOrderingDelay) {
   GroupOptions opts;
   opts.guarantee = Guarantee::kAtomicOnly;
-  SimWorld w(small_world(3));
+  LoggedWorld w(small_world(3));
   w.create_group(1, {0, 1, 2}, opts);
   w.multicast(0, 1, "fast");
   // Atomic delivery happens on receipt — no need to wait for nulls.
   w.run_for(20 * kMillisecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             std::vector<std::string>{"fast"});
 }
 

@@ -15,6 +15,7 @@
 #include "core/wire.h"
 #include "transport/router.h"
 #include "util/rng.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -317,7 +318,7 @@ TEST(FuzzDecode, EndpointSurvivesHostileJoinMessages) {
   simhost::WorldConfig cfg;
   cfg.processes = 3;
   cfg.seed = 23;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
 
@@ -348,7 +349,7 @@ TEST(FuzzDecode, EndpointSurvivesHostileJoinMessages) {
 
   w.multicast(0, 1, "sane");
   w.run_for(2 * kSecond);
-  const auto d = w.process(1).delivered_strings(1);
+  const auto d = w.log(1).delivered_strings(1);
   EXPECT_EQ(d, std::vector<std::string>{"sane"});
   EXPECT_EQ(w.ep(1).view(1)->members, (std::vector<ProcessId>{0, 1, 2}));
   EXPECT_EQ(w.ep(1).stats().joins_completed, 0u);
@@ -362,7 +363,7 @@ TEST(FuzzDecode, EndpointSurvivesHostileRelayFrames) {
   simhost::WorldConfig cfg;
   cfg.processes = 3;
   cfg.seed = 17;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   GroupOptions opts;
   opts.dissemination = DisseminationStrategy::kRing;
   w.create_group(1, {0, 1, 2}, opts);
@@ -405,7 +406,7 @@ TEST(FuzzDecode, EndpointSurvivesHostileRelayFrames) {
 
   w.multicast(0, 1, "sane");
   w.run_for(2 * kSecond);
-  const auto d = w.process(1).delivered_strings(1);
+  const auto d = w.log(1).delivered_strings(1);
   EXPECT_EQ(d, std::vector<std::string>{"sane"});
   EXPECT_EQ(w.ep(1).view(1)->members, (std::vector<ProcessId>{0, 1, 2}));
 }
@@ -417,7 +418,7 @@ TEST(FuzzDecode, EndpointSurvivesHostileBatches) {
   simhost::WorldConfig cfg;
   cfg.processes = 2;
   cfg.seed = 11;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1});
   // Let time-silence advance the clocks so the forged counter below is
   // already stale: a *corrupt* frame must be inert, and bit-flip attacks
@@ -458,7 +459,7 @@ TEST(FuzzDecode, EndpointSurvivesHostileBatches) {
 
   w.multicast(0, 1, "alive");
   w.run_for(kSecond);
-  const auto d = w.process(1).delivered_strings(1);
+  const auto d = w.log(1).delivered_strings(1);
   EXPECT_FALSE(d.empty());
   EXPECT_EQ(d.back(), "alive");
 }
@@ -469,7 +470,7 @@ TEST(FuzzDecode, EndpointSurvivesGarbageStream) {
   simhost::WorldConfig cfg;
   cfg.processes = 2;
   cfg.seed = 5;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1});
   util::Rng rng(777);
   for (int i = 0; i < fuzz_iters(5000); ++i) {
@@ -477,7 +478,7 @@ TEST(FuzzDecode, EndpointSurvivesGarbageStream) {
   }
   w.multicast(0, 1, "real");
   w.run_for(kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1),
+  EXPECT_EQ(w.log(1).delivered_strings(1),
             std::vector<std::string>{"real"});
 }
 
@@ -488,7 +489,7 @@ TEST(FuzzDecode, EndpointSurvivesSemanticallyHostileMessages) {
   simhost::WorldConfig cfg;
   cfg.processes = 3;
   cfg.seed = 6;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2});
   w.run_for(200 * kMillisecond);
 
@@ -525,7 +526,7 @@ TEST(FuzzDecode, EndpointSurvivesSemanticallyHostileMessages) {
   // The group still works and nothing hostile was delivered.
   w.multicast(0, 1, "sane");
   w.run_for(kSecond);
-  const auto d = w.process(1).delivered_strings(1);
+  const auto d = w.log(1).delivered_strings(1);
   EXPECT_EQ(d, std::vector<std::string>{"sane"});
   // View untouched by fake detections of unknown processes.
   EXPECT_EQ(w.ep(1).view(1)->members, (std::vector<ProcessId>{0, 1, 2}));

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -29,9 +30,9 @@ WorldConfig world_cfg(std::size_t n, std::uint64_t seed = 12) {
   return cfg;
 }
 
-std::vector<std::string> merged_order(SimWorld& w, ProcessId p) {
+std::vector<std::string> merged_order(LoggedWorld& w, ProcessId p) {
   std::vector<std::string> out;
-  for (const auto& r : w.process(p).deliveries) {
+  for (const auto& r : w.log(p).deliveries()) {
     out.push_back(simhost::to_string(r.delivery.payload));
   }
   return out;
@@ -39,7 +40,7 @@ std::vector<std::string> merged_order(SimWorld& w, ProcessId p) {
 
 // Checks that every pair of processes orders its common messages
 // identically (MD4' across all shared groups).
-void check_common_order(SimWorld& w, const std::vector<ProcessId>& procs) {
+void check_common_order(LoggedWorld& w, const std::vector<ProcessId>& procs) {
   for (ProcessId p : procs) {
     std::map<std::string, std::size_t> pos;
     const auto op = merged_order(w, p);
@@ -81,7 +82,7 @@ TEST(MultiGroup, CyclicGroupStructure) {
   // The Fig. 2 cycle: g1={0,1}, g2={1,2}, g3={2,3}, g4={3,0} — each
   // process is in exactly two groups forming a ring. Vector-clock systems
   // need transitive closure machinery here; Newtop just runs.
-  SimWorld w(world_cfg(4));
+  LoggedWorld w(world_cfg(4));
   w.create_group(1, {0, 1});
   w.create_group(2, {1, 2});
   w.create_group(3, {2, 3});
@@ -101,7 +102,7 @@ TEST(MultiGroup, CyclicGroupStructure) {
 
 TEST(MultiGroup, StarTopologyHubConsistency) {
   // One hub process in 5 groups, each shared with one spoke.
-  SimWorld w(world_cfg(6));
+  LoggedWorld w(world_cfg(6));
   const ProcessId hub = 0;
   for (GroupId g = 1; g <= 5; ++g) {
     w.create_group(g, {hub, static_cast<ProcessId>(g)});
@@ -121,7 +122,7 @@ TEST(MultiGroup, StarTopologyHubConsistency) {
 
 TEST(MultiGroup, NestedGroups) {
   // g1 ⊃ g2 ⊃ g3: every g3 member also sees g1/g2 traffic.
-  SimWorld w(world_cfg(6, /*seed=*/31));
+  LoggedWorld w(world_cfg(6, /*seed=*/31));
   w.create_group(1, {0, 1, 2, 3, 4, 5});
   w.create_group(2, {0, 1, 2, 3});
   w.create_group(3, {0, 1});
@@ -133,7 +134,7 @@ TEST(MultiGroup, NestedGroups) {
 TEST(MultiGroup, SharedPairAcrossManyGroups) {
   // P0 and P1 co-exist in 6 groups with distinct third members; their
   // merged delivery orders must match across *all* of them.
-  SimWorld w(world_cfg(8, /*seed=*/41));
+  LoggedWorld w(world_cfg(8, /*seed=*/41));
   for (GroupId g = 1; g <= 6; ++g) {
     w.create_group(g, {0, 1, static_cast<ProcessId>(g + 1)});
   }
@@ -151,7 +152,7 @@ TEST(MultiGroup, SharedPairAcrossManyGroups) {
 
 TEST(MultiGroup, MixedModesAcrossTopology) {
   // Alternate symmetric/asymmetric around a ring (§4.3 generic version).
-  SimWorld w(world_cfg(4, /*seed=*/43));
+  LoggedWorld w(world_cfg(4, /*seed=*/43));
   GroupOptions asym;
   asym.mode = OrderMode::kAsymmetric;
   w.create_group(1, {0, 1});          // sym
@@ -166,7 +167,7 @@ TEST(MultiGroup, MixedModesAcrossTopology) {
 TEST(MultiGroup, CrashInOneGroupDoesNotCorruptOthers) {
   // P3 is in g2 only; its crash must not perturb g1's order, and g2's
   // survivors must converge.
-  SimWorld w(world_cfg(4, /*seed=*/47));
+  LoggedWorld w(world_cfg(4, /*seed=*/47));
   w.create_group(1, {0, 1});
   w.create_group(2, {1, 2, 3});
   w.run_for(300 * kMillisecond);
@@ -186,7 +187,7 @@ TEST(MultiGroup, CausalRelayChainOrdering) {
   // A five-hop relay chain across five two-member groups: m_i is sent
   // only after m_{i-1} was delivered. Every message number must strictly
   // increase along the chain (pr1/pr2), and the chain's endpoints agree.
-  SimWorld w(world_cfg(6, /*seed=*/53));
+  LoggedWorld w(world_cfg(6, /*seed=*/53));
   for (GroupId g = 1; g <= 5; ++g) {
     w.create_group(g, {static_cast<ProcessId>(g - 1),
                        static_cast<ProcessId>(g)});
@@ -200,13 +201,13 @@ TEST(MultiGroup, CausalRelayChainOrdering) {
     w.multicast(sender, g, payload);
     ASSERT_TRUE(w.run_until_pred(
         [&] {
-          const auto d = w.process(receiver).delivered_strings(g);
+          const auto d = w.log(receiver).delivered_strings(g);
           return !d.empty() && d.back() == payload;
         },
         w.now() + 10 * kSecond))
         << "hop " << g << " never delivered";
     // Find the hop's counter at the receiver.
-    for (const auto& r : w.process(receiver).deliveries) {
+    for (const auto& r : w.log(receiver).deliveries()) {
       if (simhost::to_string(r.delivery.payload) == payload) {
         EXPECT_GT(r.delivery.counter, prev_counter)
             << "logical clocks failed to carry causality across groups";
@@ -219,7 +220,7 @@ TEST(MultiGroup, CausalRelayChainOrdering) {
 TEST(MultiGroup, TwentyGroupsOneProcessStress) {
   // One process in 20 groups: D_i = min over 20 D values; every group's
   // time-silence keeps them all advancing.
-  SimWorld w(world_cfg(21, /*seed=*/59));
+  LoggedWorld w(world_cfg(21, /*seed=*/59));
   for (GroupId g = 1; g <= 20; ++g) {
     w.create_group(g, {0, static_cast<ProcessId>(g)});
   }

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -36,7 +37,7 @@ bool view_is(SimWorld& w, ProcessId p, GroupId g,
 }
 
 TEST(PartitionScenario, ThreeWaySplitStabilises) {
-  SimWorld w(world_cfg(6));
+  LoggedWorld w(world_cfg(6));
   w.create_group(1, {0, 1, 2, 3, 4, 5});
   w.run_for(300 * kMillisecond);
   w.partition({{0, 1}, {2, 3}, {4, 5}});
@@ -52,13 +53,13 @@ TEST(PartitionScenario, ThreeWaySplitStabilises) {
   w.multicast(2, 1, "b");
   w.multicast(4, 1, "c");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(1).delivered_strings(1).back(), "a");
-  EXPECT_EQ(w.process(3).delivered_strings(1).back(), "b");
-  EXPECT_EQ(w.process(5).delivered_strings(1).back(), "c");
+  EXPECT_EQ(w.log(1).delivered_strings(1).back(), "a");
+  EXPECT_EQ(w.log(3).delivered_strings(1).back(), "b");
+  EXPECT_EQ(w.log(5).delivered_strings(1).back(), "c");
 }
 
 TEST(PartitionScenario, SplitUnderLoadKeepsSidesInternallyConsistent) {
-  SimWorld w(world_cfg(4, /*seed=*/117));
+  LoggedWorld w(world_cfg(4, /*seed=*/117));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   // Traffic before, during and after the split.
@@ -80,12 +81,12 @@ TEST(PartitionScenario, SplitUnderLoadKeepsSidesInternallyConsistent) {
       w.now() + 60 * kSecond));
   w.run_for(5 * kSecond);
   // Within each side the delivery sequences are identical.
-  EXPECT_EQ(w.process(0).delivered_strings(1),
-            w.process(1).delivered_strings(1));
-  EXPECT_EQ(w.process(2).delivered_strings(1),
-            w.process(3).delivered_strings(1));
+  EXPECT_EQ(w.log(0).delivered_strings(1),
+            w.log(1).delivered_strings(1));
+  EXPECT_EQ(w.log(2).delivered_strings(1),
+            w.log(3).delivered_strings(1));
   // And side A never delivered side B's post-split traffic.
-  for (const auto& s : w.process(0).delivered_strings(1)) {
+  for (const auto& s : w.log(0).delivered_strings(1)) {
     EXPECT_NE(s.substr(0, 1), "b") << "cross-partition leak: " << s;
   }
 }
@@ -94,7 +95,7 @@ TEST(PartitionScenario, NoAutomaticMergeAfterHeal) {
   // §3: once excluded, a process never rejoins the same group; healing
   // the network must not resurrect the old membership — traffic from
   // across the healed split is discarded ("Pk ∉ Vi").
-  SimWorld w(world_cfg(4, /*seed=*/119));
+  LoggedWorld w(world_cfg(4, /*seed=*/119));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   w.partition({{0, 1}, {2, 3}});
@@ -105,10 +106,10 @@ TEST(PartitionScenario, NoAutomaticMergeAfterHeal) {
       w.now() + 60 * kSecond));
   w.heal();
   w.run_for(2 * kSecond);
-  const auto before0 = w.process(0).delivered_strings(1).size();
+  const auto before0 = w.log(0).delivered_strings(1).size();
   w.multicast(2, 1, "ghost from the other side");
   w.run_for(3 * kSecond);
-  EXPECT_EQ(w.process(0).delivered_strings(1).size(), before0)
+  EXPECT_EQ(w.log(0).delivered_strings(1).size(), before0)
       << "a healed network must not smuggle messages across stabilised "
          "views";
   EXPECT_TRUE(view_is(w, 0, 1, {0, 1}));
@@ -116,7 +117,7 @@ TEST(PartitionScenario, NoAutomaticMergeAfterHeal) {
 
 TEST(PartitionScenario, RejoinAfterHealViaNewGroup) {
   // The paper's prescribed path back together: form a new group.
-  SimWorld w(world_cfg(4, /*seed=*/121));
+  LoggedWorld w(world_cfg(4, /*seed=*/121));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   w.partition({{0, 1}, {2, 3}});
@@ -138,7 +139,7 @@ TEST(PartitionScenario, RejoinAfterHealViaNewGroup) {
   w.multicast(0, 2, "reunited");
   w.run_for(2 * kSecond);
   for (ProcessId p = 0; p < 4; ++p) {
-    EXPECT_EQ(w.process(p).delivered_strings(2),
+    EXPECT_EQ(w.log(p).delivered_strings(2),
               std::vector<std::string>{"reunited"})
         << "P" << p;
   }
@@ -168,7 +169,7 @@ TEST(PartitionScenario, PartitionDuringFormationResolves) {
   // outcome per process (formed on a shrunken view after GV exclusion, or
   // aborted by timeout), no process may hang forever: every live process
   // either completes or abandons the formation within bounded time.
-  SimWorld w(world_cfg(4, /*seed=*/127));
+  LoggedWorld w(world_cfg(4, /*seed=*/127));
   w.ep(0).initiate_group(1, {0, 1, 2, 3}, {}, w.now());
   w.run_for(8 * kMillisecond);  // invites partially propagated
   w.partition({{0, 1}, {2, 3}});
@@ -187,14 +188,14 @@ TEST(PartitionScenario, PartitionDuringFormationResolves) {
   if (w.ep(0).open_for_app(1)) {
     w.multicast(0, 1, "sideA works");
     w.run_for(2 * kSecond);
-    EXPECT_FALSE(w.process(0).delivered_strings(1).empty());
+    EXPECT_FALSE(w.log(0).delivered_strings(1).empty());
   }
 }
 
 TEST(PartitionScenario, SequentialSplitAndShrink) {
   // Split 6 -> {4, 2}, then the 4-side splits again -> {2, 2}: view
   // sequences must shrink monotonically with consistent members.
-  SimWorld w(world_cfg(6, /*seed=*/131));
+  LoggedWorld w(world_cfg(6, /*seed=*/131));
   w.create_group(1, {0, 1, 2, 3, 4, 5});
   w.run_for(300 * kMillisecond);
   w.partition({{0, 1, 2, 3}, {4, 5}});
@@ -206,7 +207,7 @@ TEST(PartitionScenario, SequentialSplitAndShrink) {
       [&] { return view_is(w, 0, 1, {0, 1}) && view_is(w, 2, 1, {2, 3}); },
       w.now() + 60 * kSecond));
   // Monotone shrink at P0: every later view ⊂ earlier view.
-  const auto& views = w.process(0).views;
+  const auto views = w.log(0).views();
   for (std::size_t i = 1; i < views.size(); ++i) {
     for (ProcessId p : views[i].view.members) {
       EXPECT_TRUE(std::count(views[i - 1].view.members.begin(),
@@ -223,7 +224,7 @@ TEST(PartitionScenario, AsymmetricGroupSplitFailsOverPerSide) {
   // its own (lowest surviving id) and keeps ordering.
   GroupOptions o;
   o.mode = OrderMode::kAsymmetric;
-  SimWorld w(world_cfg(4, /*seed=*/137));
+  LoggedWorld w(world_cfg(4, /*seed=*/137));
   w.create_group(1, {0, 1, 2, 3}, o);
   w.run_for(300 * kMillisecond);
   w.partition({{0, 1}, {2, 3}});
@@ -236,7 +237,7 @@ TEST(PartitionScenario, AsymmetricGroupSplitFailsOverPerSide) {
   EXPECT_EQ(w.ep(2).sequencer_of(1), 2u);  // new sequencer on side B
   w.multicast(3, 1, "side B ordered");
   w.run_for(2 * kSecond);
-  EXPECT_EQ(w.process(2).delivered_strings(1).back(), "side B ordered");
+  EXPECT_EQ(w.log(2).delivered_strings(1).back(), "side B ordered");
 }
 
 }  // namespace

@@ -23,11 +23,11 @@
 
 #include "core/sim_host.h"
 #include "util/rng.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
 
-using simhost::SimWorld;
 using simhost::WorldConfig;
 using sim::kMillisecond;
 using sim::kSecond;
@@ -42,8 +42,8 @@ struct MsgId {
 MsgId id_of(const Delivery& d) { return MsgId{d.group, d.sender, d.counter}; }
 
 // O1: strictly increasing delivery keys per process (total-order groups).
-void check_key_monotonicity(const SimWorld& w, ProcessId p) {
-  const auto& dels = const_cast<SimWorld&>(w).process(p).deliveries;
+void check_key_monotonicity(const LoggedWorld& w, ProcessId p) {
+  const auto dels = w.log(p).deliveries();
   for (std::size_t i = 1; i < dels.size(); ++i) {
     const auto& a = dels[i - 1].delivery;
     const auto& b = dels[i].delivery;
@@ -55,13 +55,13 @@ void check_key_monotonicity(const SimWorld& w, ProcessId p) {
 }
 
 // O2: pairwise order consistency on common messages.
-void check_pairwise_order(SimWorld& w, ProcessId p, ProcessId q) {
+void check_pairwise_order(LoggedWorld& w, ProcessId p, ProcessId q) {
   std::map<MsgId, std::size_t> pos;
-  const auto& dp = w.process(p).deliveries;
+  const auto dp = w.log(p).deliveries();
   for (std::size_t i = 0; i < dp.size(); ++i) pos[id_of(dp[i].delivery)] = i;
   std::size_t last = 0;
   bool first = true;
-  const auto& dq = w.process(q).deliveries;
+  const auto dq = w.log(q).deliveries();
   for (const auto& r : dq) {
     auto it = pos.find(id_of(r.delivery));
     if (it == pos.end()) continue;
@@ -77,24 +77,24 @@ void check_pairwise_order(SimWorld& w, ProcessId p, ProcessId q) {
 }
 
 // O3: per-(group, sender) prefix closure against the union of deliveries.
-void check_sender_prefix_closure(SimWorld& w,
+void check_sender_prefix_closure(LoggedWorld& w,
                                  const std::vector<ProcessId>& alive) {
   std::map<std::pair<GroupId, ProcessId>, std::set<Counter>> all;
   for (ProcessId p : alive) {
-    for (const auto& r : w.process(p).deliveries) {
+    for (const auto& r : w.log(p).deliveries()) {
       all[{r.delivery.group, r.delivery.sender}].insert(r.delivery.counter);
     }
   }
   for (ProcessId p : alive) {
     std::map<std::pair<GroupId, ProcessId>, Counter> max_seen;
-    for (const auto& r : w.process(p).deliveries) {
+    for (const auto& r : w.log(p).deliveries()) {
       auto key = std::pair{r.delivery.group, r.delivery.sender};
       auto& m = max_seen[key];
       m = std::max(m, r.delivery.counter);
     }
     for (const auto& [key, maxc] : max_seen) {
       std::set<Counter> mine;
-      for (const auto& r : w.process(p).deliveries) {
+      for (const auto& r : w.log(p).deliveries()) {
         if (std::pair{r.delivery.group, r.delivery.sender} == key) {
           mine.insert(r.delivery.counter);
         }
@@ -111,7 +111,7 @@ void check_sender_prefix_closure(SimWorld& w,
 }
 
 // O4: identical delivery sets between identical consecutive views.
-void check_view_atomicity(SimWorld& w, const std::vector<ProcessId>& alive,
+void check_view_atomicity(LoggedWorld& w, const std::vector<ProcessId>& alive,
                           GroupId g) {
   // For each process: view seq -> (membership, delivered ids in that view).
   struct PerView {
@@ -125,7 +125,7 @@ void check_view_atomicity(SimWorld& w, const std::vector<ProcessId>& alive,
     auto& mine = data[p];
     // View 0 membership comes from group creation; reconstruct from the
     // records: every installed view r>0 is in views; deliveries carry r.
-    for (const auto& vr : w.process(p).views) {
+    for (const auto& vr : w.log(p).views()) {
       if (vr.group != g) continue;
       mine[vr.view.seq].members = vr.view.members;
       auto prev = mine.find(vr.view.seq - 1);
@@ -134,7 +134,7 @@ void check_view_atomicity(SimWorld& w, const std::vector<ProcessId>& alive,
         prev->second.next_members = vr.view.members;
       }
     }
-    for (const auto& r : w.process(p).deliveries) {
+    for (const auto& r : w.log(p).deliveries()) {
       if (r.delivery.group != g) continue;
       mine[r.delivery.view_seq].delivered.insert(id_of(r.delivery));
     }
@@ -227,7 +227,7 @@ void run_random_schedule(std::uint64_t seed, bool allow_crashes,
   cfg.seed = seed * 7919 + 13;
   cfg.network.latency =
       sim::LatencyModel::uniform(1 * kMillisecond, 10 * kMillisecond);
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   for (const auto& g : s.groups) {
     w.create_group(g.id, g.members, g.options);
   }
@@ -327,7 +327,7 @@ TEST(FaultFreeCompleteness, AllMessagesDeliveredToAllMembers) {
     WorldConfig cfg;
     cfg.processes = 4;
     cfg.seed = seed;
-    SimWorld w(cfg);
+    LoggedWorld w(cfg);
     w.create_group(1, {0, 1, 2, 3});
     const int n_msgs = 20;
     for (int i = 0; i < n_msgs; ++i) {
@@ -337,11 +337,11 @@ TEST(FaultFreeCompleteness, AllMessagesDeliveredToAllMembers) {
                 kMillisecond);
     }
     w.run_for(10 * kSecond);
-    const auto ref = w.process(0).delivered_strings(1);
+    const auto ref = w.log(0).delivered_strings(1);
     ASSERT_EQ(ref.size(), static_cast<std::size_t>(n_msgs))
         << "seed " << seed;
     for (ProcessId p = 1; p < 4; ++p) {
-      ASSERT_EQ(w.process(p).delivered_strings(1), ref)
+      ASSERT_EQ(w.log(p).delivered_strings(1), ref)
           << "seed " << seed << " P" << p;
     }
   }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -56,7 +57,7 @@ TEST(Stability, SilentMemberBlocksStabilityUntilItSpeaks) {
 }
 
 TEST(Recovery, RefutePiggybackRestoresLostAppMessages) {
-  SimWorld w(world_cfg(4, /*seed=*/81));
+  LoggedWorld w(world_cfg(4, /*seed=*/81));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   // One-way cut: P3's messages reach everyone but P0. The cut outlasts Ω
@@ -68,10 +69,10 @@ TEST(Recovery, RefutePiggybackRestoresLostAppMessages) {
   w.run_for(2 * kSecond);
   w.network().set_link_down(3, 0, false);
   w.run_for(10 * kSecond);
-  const auto d0 = w.process(0).delivered_strings(1);
+  const auto d0 = w.log(0).delivered_strings(1);
   EXPECT_EQ(std::count(d0.begin(), d0.end(), std::string("lost1")), 1);
   EXPECT_EQ(std::count(d0.begin(), d0.end(), std::string("lost2")), 1);
-  EXPECT_EQ(d0, w.process(1).delivered_strings(1));
+  EXPECT_EQ(d0, w.log(1).delivered_strings(1));
   EXPECT_GT(w.ep(0).stats().messages_recovered +
                 w.ep(1).stats().refutes_sent,
             0u);
@@ -82,7 +83,7 @@ TEST(Recovery, NullOnlyGapHealedByClaimedLast) {
   // retained, so recovery piggybacks nothing — the refute's claimed_last
   // must still advance the suspector's receive vector so delivery and the
   // group stay live.
-  SimWorld w(world_cfg(3, /*seed=*/83));
+  LoggedWorld w(world_cfg(3, /*seed=*/83));
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.network().set_link_down(2, 0, true);
@@ -94,7 +95,7 @@ TEST(Recovery, NullOnlyGapHealedByClaimedLast) {
   // works (D was not stuck on the null gap).
   w.multicast(2, 1, "after heal");
   w.run_for(3 * kSecond);
-  const auto d0 = w.process(0).delivered_strings(1);
+  const auto d0 = w.log(0).delivered_strings(1);
   EXPECT_EQ(std::count(d0.begin(), d0.end(), std::string("after heal")), 1);
 }
 
@@ -104,7 +105,7 @@ TEST(Recovery, PaperLiteralPendingHoldPath) {
   // incoming refute — end state must match the self-refute default.
   WorldConfig cfg = world_cfg(3, /*seed=*/87);
   cfg.host.endpoint.self_refute = false;
-  SimWorld w(cfg);
+  LoggedWorld w(cfg);
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.network().set_link_down(2, 0, true);
@@ -113,8 +114,8 @@ TEST(Recovery, PaperLiteralPendingHoldPath) {
   w.network().set_link_down(2, 0, false);
   w.multicast(2, 1, "held2");
   w.run_for(10 * kSecond);
-  const auto d0 = w.process(0).delivered_strings(1);
-  const auto d1 = w.process(1).delivered_strings(1);
+  const auto d0 = w.log(0).delivered_strings(1);
+  const auto d1 = w.log(1).delivered_strings(1);
   EXPECT_EQ(d0, d1);
   EXPECT_EQ(std::count(d0.begin(), d0.end(), std::string("held1")), 1);
   EXPECT_EQ(std::count(d0.begin(), d0.end(), std::string("held2")), 1);
@@ -123,7 +124,7 @@ TEST(Recovery, PaperLiteralPendingHoldPath) {
 TEST(Recovery, NoDuplicateDeliveryWhenRecoveryRaces) {
   // The same messages may arrive both through the healed channel and a
   // refute piggyback; the per-emitter dedup must keep delivery single.
-  SimWorld w(world_cfg(4, /*seed=*/91));
+  LoggedWorld w(world_cfg(4, /*seed=*/91));
   w.create_group(1, {0, 1, 2, 3});
   w.run_for(300 * kMillisecond);
   w.network().set_link_down(3, 0, true);
@@ -131,7 +132,7 @@ TEST(Recovery, NoDuplicateDeliveryWhenRecoveryRaces) {
   w.run_for(1500 * kMillisecond);
   w.network().set_link_down(3, 0, false);  // channel retransmits everything
   w.run_for(10 * kSecond);
-  const auto d0 = w.process(0).delivered_strings(1);
+  const auto d0 = w.log(0).delivered_strings(1);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(std::count(d0.begin(), d0.end(), "r" + std::to_string(i)), 1)
         << "message r" << i << " delivered wrong number of times";
@@ -181,15 +182,15 @@ TEST(Recovery, PermanentOneWayCutStaysLive) {
   // claimed_last, one Ω at a time), or a suspicion wins the race and
   // someone is excluded. Either way the group must remain LIVE: new
   // messages keep getting delivered at P0.
-  SimWorld w(world_cfg(3, /*seed=*/97));
+  LoggedWorld w(world_cfg(3, /*seed=*/97));
   w.create_group(1, {0, 1, 2});
   w.run_for(300 * kMillisecond);
   w.network().set_link_down(2, 0, true);  // permanent one-way cut
   w.run_for(20 * kSecond);
-  const auto before = w.process(0).delivered_strings(1).size();
+  const auto before = w.log(0).delivered_strings(1).size();
   w.multicast(0, 1, "alive");
   const bool delivered = w.run_until_pred(
-      [&] { return w.process(0).delivered_strings(1).size() > before; },
+      [&] { return w.log(0).delivered_strings(1).size() > before; },
       w.now() + 20 * kSecond);
   EXPECT_TRUE(delivered) << "group wedged under a permanent one-way cut";
   // And the refute machinery really was exercised (unless exclusion

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/endpoint.h"
+#include "core/sim_host.h"
 #include "core/wire.h"
 
 namespace newtop {
@@ -437,6 +438,46 @@ TEST(RxPath, ZeroCopySliceRemainsTheDefault) {
   GroupOptions opts;
   EXPECT_EQ(opts.delivery, DeliveryMode::kZeroCopySlice);
 }
+
+// A host hands each delivery to the application's sink and keeps no
+// reference of its own. Once the message is stable (retention trimmed),
+// the payload the sink kept is the only owner of its backing buffer.
+class HostHoldsNoPayload : public ::testing::TestWithParam<DeliveryMode> {};
+
+TEST_P(HostHoldsNoPayload, SimHostDropsDeliveredPayload) {
+  simhost::WorldConfig cfg;
+  cfg.processes = 3;
+  cfg.seed = 11;
+  cfg.network.latency = sim::LatencyModel::uniform(
+      1 * sim::kMillisecond, 5 * sim::kMillisecond);
+  simhost::SimWorld w(cfg);
+  GroupOptions opts;
+  opts.delivery = GetParam();
+  w.create_group(1, {0, 1, 2}, opts);
+  w.run_for(200 * sim::kMillisecond);
+
+  util::BytesView kept;
+  w.process(1).set_event_sink([&kept](const Event& ev) {
+    const auto* d = std::get_if<DeliveryEvent>(&ev);
+    if (d != nullptr && kept.empty()) kept = d->delivery.payload;
+  });
+  ASSERT_TRUE(send_accepted(
+      w.group(0, 1).multicast(util::Bytes(1024, std::uint8_t{0xab}))));
+  w.run_for(3 * sim::kSecond);  // quiescence: stability trims retention
+
+  ASSERT_EQ(kept.size(), 1024u);
+  EXPECT_EQ(kept.buffer().use_count(), 1)
+      << "something besides the application holds the delivered payload";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeliveryModes, HostHoldsNoPayload,
+    ::testing::Values(DeliveryMode::kZeroCopySlice, DeliveryMode::kPooledCopy),
+    [](const ::testing::TestParamInfo<DeliveryMode>& mode) {
+      return std::string(mode.param == DeliveryMode::kZeroCopySlice
+                             ? "ZeroCopySlice"
+                             : "PooledCopy");
+    });
 
 // ---------------------------------------------------------------------
 // Send backpressure (Config::max_pending_sends) + SendWindowEvent

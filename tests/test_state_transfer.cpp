@@ -14,6 +14,7 @@
 
 #include "core/endpoint.h"
 #include "core/sim_host.h"
+#include "logged_world.h"
 
 namespace newtop {
 namespace {
@@ -30,13 +31,13 @@ struct ReplicatedLog {
 
   std::vector<std::string> state;
 
-  void attach(simhost::SimWorld& w, ProcessId p) {
-    w.process(p).set_event_sink([this, p](const Event& ev) {
+  void attach(LoggedWorld& w, ProcessId p) {
+    w.process(p).set_event_sink(w.log(p).sink([this, p](const Event& ev) {
       if (const auto* d = std::get_if<DeliveryEvent>(&ev)) {
         state[p] += '|';
         state[p] += simhost::to_string(d->delivery.payload);
       }
-    });
+    }));
   }
 
 };
@@ -83,7 +84,7 @@ TEST(StateTransfer, JoinerConvergesByteIdenticalUnderLoad) {
   simhost::WorldConfig cfg;
   cfg.processes = 4;
   cfg.seed = 1995;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   ReplicatedLog log(4);
   for (ProcessId p = 0; p < 4; ++p) log.attach(w, p);
   create_replicated_group(w, log, 1, {0, 1, 2});
@@ -134,13 +135,13 @@ TEST(StateTransfer, JoinerConvergesByteIdenticalUnderLoad) {
 
   // Total order, stated directly: the joiner's own delivery sequence is
   // a contiguous suffix of an incumbent's.
-  const auto d0 = w.process(0).delivered_strings(1);
-  const auto d3 = w.process(3).delivered_strings(1);
+  const auto d0 = w.log(0).delivered_strings(1);
+  const auto d3 = w.log(3).delivered_strings(1);
   ASSERT_LE(d3.size(), d0.size());
   EXPECT_TRUE(std::equal(d3.rbegin(), d3.rend(), d0.rbegin()));
 
   // The typed event stream narrated the transfer in phase order.
-  const auto& st = w.process(3).state_transfers;
+  const auto st = w.log(3).state_transfers();
   ASSERT_GE(st.size(), 3u);
   using Phase = StateTransferEvent::Phase;
   EXPECT_EQ(st.front().event.phase, Phase::kOffered);
@@ -151,9 +152,9 @@ TEST(StateTransfer, JoinerConvergesByteIdenticalUnderLoad) {
   }
   EXPECT_TRUE(installing_seen);
   // Incumbents and the joiner both observed the membership growth.
-  EXPECT_FALSE(w.process(0).member_joins.empty());
-  EXPECT_EQ(w.process(0).member_joins.back().event.member, 3u);
-  EXPECT_FALSE(w.process(3).member_joins.empty());
+  EXPECT_FALSE(w.log(0).member_joins().empty());
+  EXPECT_EQ(w.log(0).member_joins().back().event.member, 3u);
+  EXPECT_FALSE(w.log(3).member_joins().empty());
   // Engine accounting agrees with the observed outcome.
   EXPECT_GE(w.ep(3).stats().snapshot_chunks_received, 1u);
   EXPECT_GE(w.ep(0).stats().join_serves, 1u);
@@ -168,7 +169,7 @@ TEST(StateTransfer, JoinDuringLiveSuspicionConverges) {
   simhost::WorldConfig cfg;
   cfg.processes = 4;
   cfg.seed = 77;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   ReplicatedLog log(4);
   for (ProcessId p = 0; p < 4; ++p) log.attach(w, p);
   create_replicated_group(w, log, 1, {0, 1, 2});
@@ -203,7 +204,7 @@ TEST(StateTransfer, JoinRacingViewChangeConverges) {
   simhost::WorldConfig cfg;
   cfg.processes = 4;
   cfg.seed = 31;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   ReplicatedLog log(4);
   for (ProcessId p = 0; p < 4; ++p) log.attach(w, p);
   create_replicated_group(w, log, 1, {0, 1, 2});
@@ -247,7 +248,7 @@ TEST(StateTransfer, SourceCrashMidSnapshotRerequestsFromNewView) {
   // two BatchFrames and the crash could never interrupt it).
   cfg.host.channel.window = 4;
   cfg.host.channel.max_batch = 1;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   ReplicatedLog log(4);
   for (ProcessId p = 0; p < 4; ++p) log.attach(w, p);
   create_replicated_group(w, log, 1, {0, 1, 2});
@@ -288,7 +289,7 @@ TEST(StateTransfer, TwoSimultaneousJoinersBothConverge) {
   simhost::WorldConfig cfg;
   cfg.processes = 5;
   cfg.seed = 101;
-  simhost::SimWorld w(cfg);
+  LoggedWorld w(cfg);
   ReplicatedLog log(5);
   for (ProcessId p = 0; p < 5; ++p) log.attach(w, p);
   create_replicated_group(w, log, 1, {0, 1, 2});

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/event_log.h"
 #include "transport/udp_transport.h"
 
 namespace newtop::transport {
@@ -36,13 +38,25 @@ UdpNodeConfig fast_cfg() {
   return cfg;
 }
 
-// Builds n nodes on ephemeral ports, fully meshed.
-std::vector<std::unique_ptr<UdpNode>> make_mesh(std::size_t n,
-                                                UdpNodeConfig cfg = fast_cfg()) {
+// Routes a node's events through `log`, then on to cfg's own sink. A
+// node records nothing itself; the tests read these logs. Declare the
+// logs before the nodes, so every node stops before its log goes away.
+UdpNodeConfig logged(UdpNodeConfig cfg, EventLog& log) {
+  cfg.on_event = log.sink(std::move(cfg.on_event));
+  return cfg;
+}
+
+// Builds n nodes on ephemeral ports, fully meshed; node i records into
+// logs[i] (appended as needed).
+std::vector<std::unique_ptr<UdpNode>> make_mesh(
+    std::size_t n, std::deque<EventLog>& logs,
+    UdpNodeConfig cfg = fast_cfg()) {
+  while (logs.size() < n) logs.emplace_back();
   std::vector<std::unique_ptr<UdpNode>> nodes;
   for (std::size_t i = 0; i < n; ++i) {
     nodes.push_back(std::make_unique<UdpNode>(static_cast<ProcessId>(i),
-                                              /*port=*/0, cfg));
+                                              /*port=*/0,
+                                              logged(cfg, logs[i])));
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -111,7 +125,8 @@ TEST(UdpTransport, TotalOrderOverLoopback) {
                          Input{OrderMode::kAsymmetric, 30, 1, 2}}) {
     SCOPED_TRACE(in.mode == OrderMode::kSymmetric ? "symmetric"
                                                   : "asymmetric");
-    auto nodes = make_mesh(3);
+    std::deque<EventLog> logs;
+    auto nodes = make_mesh(3, logs);
     GroupOptions opts;
     opts.mode = in.mode;
     for (auto& node : nodes) node->create_group(1, {0, 1, 2}, opts);
@@ -128,20 +143,20 @@ TEST(UdpTransport, TotalOrderOverLoopback) {
     ASSERT_TRUE(wait_for(
         [&] {
           for (auto& node : nodes) {
-            if (node->delivery_count(1) < n) return false;
+            if (logs[node->id()].delivery_count(1) < n) return false;
           }
           return true;
         },
         20s));
-    const auto ref = nodes[0]->deliveries();
+    const auto ref = logs[0].deliveries();
     ASSERT_EQ(ref.size(), n);
     for (std::size_t i = 1; i < nodes.size(); ++i) {
-      const auto d = nodes[i]->deliveries();
+      const auto d = logs[i].deliveries();
       ASSERT_EQ(d.size(), n);
       for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_EQ(d[k].payload, ref[k].payload)
+        EXPECT_EQ(d[k].delivery.payload, ref[k].delivery.payload)
             << "node " << i << " pos " << k;
-        EXPECT_EQ(d[k].sender, ref[k].sender);
+        EXPECT_EQ(d[k].delivery.sender, ref[k].delivery.sender);
       }
     }
     for (auto& node : nodes) node->stop();
@@ -153,7 +168,8 @@ TEST(UdpTransport, AdaptiveRttEstimationOverLoopback) {
   // steady_clock stamps ride the wire, echoes come back, and the
   // estimator's gauges surface through the marshalled stats snapshot.
   UdpNodeConfig cfg = fast_cfg();
-  auto nodes = make_mesh(2, cfg);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs, cfg);
   std::vector<ProcessId> members{0, 1};
   for (auto& node : nodes) node->create_group(1, members);
   std::this_thread::sleep_for(100ms);
@@ -164,7 +180,7 @@ TEST(UdpTransport, AdaptiveRttEstimationOverLoopback) {
   ASSERT_TRUE(wait_for(
       [&] {
         for (auto& node : nodes) {
-          if (node->delivery_count(1) < 10) return false;
+          if (logs[node->id()].delivery_count(1) < 10) return false;
         }
         return true;
       },
@@ -184,7 +200,8 @@ TEST(UdpTransport, AdaptiveRttEstimationOverLoopback) {
 }
 
 TEST(UdpTransport, NodeStopTriggersViewChange) {
-  auto nodes = make_mesh(3);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(3, logs);
   std::vector<ProcessId> members{0, 1, 2};
   for (auto& node : nodes) node->create_group(1, members);
   std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
@@ -192,7 +209,7 @@ TEST(UdpTransport, NodeStopTriggersViewChange) {
   ASSERT_TRUE(wait_for(
       [&] {
         for (auto& node : nodes) {
-          if (node->delivery_count(1) < 1) return false;
+          if (logs[node->id()].delivery_count(1) < 1) return false;
         }
         return true;
       },
@@ -200,18 +217,18 @@ TEST(UdpTransport, NodeStopTriggersViewChange) {
   nodes[2]->stop();  // "crash"
   ASSERT_TRUE(wait_for(
       [&] {
-        const auto v0 = nodes[0]->views();
-        const auto v1 = nodes[1]->views();
+        const auto v0 = logs[0].views();
+        const auto v1 = logs[1].views();
         return !v0.empty() &&
-               v0.back().second.members == std::vector<ProcessId>{0, 1} &&
+               v0.back().view.members == std::vector<ProcessId>{0, 1} &&
                !v1.empty() &&
-               v1.back().second.members == std::vector<ProcessId>{0, 1};
+               v1.back().view.members == std::vector<ProcessId>{0, 1};
       },
       15s))
       << "survivors never excluded the stopped node";
   // Traffic continues among survivors.
   nodes[1]->multicast(1, bytes_of("post-crash"));
-  ASSERT_TRUE(wait_for([&] { return nodes[0]->delivery_count(1) >= 2; },
+  ASSERT_TRUE(wait_for([&] { return logs[0].delivery_count(1) >= 2; },
                        10s));
   nodes[0]->stop();
   nodes[1]->stop();
@@ -226,7 +243,8 @@ TEST(UdpTransport, GroupHandleFacadeOverLoopback) {
   cfg.on_event = [&](const Event& ev) {
     if (std::holds_alternative<DeliveryEvent>(ev)) ++delivery_events;
   };
-  auto nodes = make_mesh(2, cfg);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs, cfg);
   std::vector<ProcessId> members{0, 1};
   for (auto& node : nodes) node->create_group(1, members);
   std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
@@ -236,7 +254,7 @@ TEST(UdpTransport, GroupHandleFacadeOverLoopback) {
   ASSERT_TRUE(wait_for(
       [&] {
         for (auto& node : nodes) {
-          if (node->delivery_count(1) < 1) return false;
+          if (logs[node->id()].delivery_count(1) < 1) return false;
         }
         return true;
       },
@@ -259,7 +277,7 @@ TEST(UdpTransport, GroupHandleFacadeOverLoopback) {
   EXPECT_EQ(counts.accepted(), 1u);
   EXPECT_EQ(counts.not_member, 2u);
   // The event sink saw the one accepted multicast once per member (it
-  // runs just after the delivery log records, so wait for it too).
+  // runs just after the node's log records, so wait for it too).
   EXPECT_TRUE(wait_for([&] { return delivery_events.load() >= 2; }, 10s));
   EXPECT_EQ(delivery_events.load(), 2);
 
@@ -305,9 +323,11 @@ TEST(UdpTransport, SharedTransportMultiGroupIsolation) {
   // envelope demuxes by destination process id, so two disjoint groups
   // coexist on a single UdpTransport without cross-delivery.
   auto transport = std::make_shared<UdpTransport>(0);
+  std::deque<EventLog> logs(4);
   std::vector<std::unique_ptr<UdpNode>> nodes;
   for (ProcessId id = 0; id < 4; ++id) {
-    nodes.push_back(std::make_unique<UdpNode>(id, transport, fast_cfg()));
+    nodes.push_back(std::make_unique<UdpNode>(
+        id, transport, logged(fast_cfg(), logs[id])));
   }
   for (auto& n : nodes) {
     for (auto& peer : nodes) {
@@ -325,16 +345,16 @@ TEST(UdpTransport, SharedTransportMultiGroupIsolation) {
   EXPECT_TRUE(send_accepted(nodes[2]->group(2).multicast(bytes_of("g2"))));
   ASSERT_TRUE(wait_for(
       [&] {
-        return nodes[0]->delivery_count(1) >= 1 &&
-               nodes[1]->delivery_count(1) >= 1 &&
-               nodes[2]->delivery_count(2) >= 1 &&
-               nodes[3]->delivery_count(2) >= 1;
+        return logs[0].delivery_count(1) >= 1 &&
+               logs[1].delivery_count(1) >= 1 &&
+               logs[2].delivery_count(2) >= 1 &&
+               logs[3].delivery_count(2) >= 1;
       },
       10s));
   // No bleed between the groups sharing the socket.
   for (auto& n : nodes) {
     const GroupId other = n->id() < 2 ? 2 : 1;
-    EXPECT_EQ(n->delivery_count(other), 0u) << "node " << n->id();
+    EXPECT_EQ(logs[n->id()].delivery_count(other), 0u) << "node " << n->id();
   }
   // Admission verdicts stay per-node: the senders tallied one accepted
   // send each, their group-mates none.
@@ -355,9 +375,11 @@ TEST(UdpTransport, MixedDisseminationSharedTransport) {
   // keep total order across every member. The TSan leg runs this file,
   // so the relay rx path (forward + seq gate) gets raced for real.
   auto transport = std::make_shared<UdpTransport>(0);
+  std::deque<EventLog> logs(4);
   std::vector<std::unique_ptr<UdpNode>> nodes;
   for (ProcessId id = 0; id < 4; ++id) {
-    nodes.push_back(std::make_unique<UdpNode>(id, transport, fast_cfg()));
+    nodes.push_back(std::make_unique<UdpNode>(
+        id, transport, logged(fast_cfg(), logs[id])));
   }
   for (auto& n : nodes) {
     for (auto& peer : nodes) {
@@ -383,26 +405,19 @@ TEST(UdpTransport, MixedDisseminationSharedTransport) {
   ASSERT_TRUE(wait_for(
       [&] {
         for (auto& n : nodes) {
-          if (n->delivery_count(1) < 3 || n->delivery_count(2) < 3)
+          const EventLog& log = logs[n->id()];
+          if (log.delivery_count(1) < 3 || log.delivery_count(2) < 3) {
             return false;
+          }
         }
         return true;
       },
       15s));
   // Same total order per group at every member.
-  const auto ref = nodes[0]->deliveries();
   for (std::size_t i = 1; i < nodes.size(); ++i) {
-    const auto d = nodes[i]->deliveries();
-    ASSERT_EQ(d.size(), ref.size()) << "node " << i;
     for (GroupId g : {GroupId(1), GroupId(2)}) {
-      std::vector<std::string> want, got;
-      for (const auto& e : ref) {
-        if (e.group == g) want.emplace_back(e.payload.begin(), e.payload.end());
-      }
-      for (const auto& e : d) {
-        if (e.group == g) got.emplace_back(e.payload.begin(), e.payload.end());
-      }
-      EXPECT_EQ(got, want) << "node " << i << " group " << g;
+      EXPECT_EQ(logs[i].delivered_strings(g), logs[0].delivered_strings(g))
+          << "node " << i << " group " << g;
     }
   }
   // The ring group actually relayed: the senders wrapped their
@@ -423,12 +438,13 @@ TEST(UdpTransport, MixedDisseminationSharedTransport) {
 TEST(UdpTransport, SyscallCountersMonotonic) {
   // The socket-layer io counters surface through transport_stats and
   // only ever grow; the rx path never stages a copy.
-  auto nodes = make_mesh(2);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs);
   for (auto& node : nodes) node->create_group(1, {0, 1});
   std::this_thread::sleep_for(100ms);
   nodes[0]->multicast(1, bytes_of("one"));
   ASSERT_TRUE(wait_for(
-      [&] { return nodes[1]->delivery_count(1) >= 1; }, 10s));
+      [&] { return logs[1].delivery_count(1) >= 1; }, 10s));
   const ChannelStats s1 = nodes[0]->transport_stats();
   EXPECT_GT(s1.tx_syscalls, 0u);
   EXPECT_GT(s1.rx_syscalls, 0u);
@@ -440,7 +456,7 @@ TEST(UdpTransport, SyscallCountersMonotonic) {
     nodes[1]->multicast(1, bytes_of("more" + std::to_string(i)));
   }
   ASSERT_TRUE(wait_for(
-      [&] { return nodes[0]->delivery_count(1) >= 6; }, 10s));
+      [&] { return logs[0].delivery_count(1) >= 6; }, 10s));
   const ChannelStats s2 = nodes[0]->transport_stats();
   EXPECT_GE(s2.tx_syscalls, s1.tx_syscalls);
   EXPECT_GE(s2.rx_syscalls, s1.rx_syscalls);
@@ -458,7 +474,8 @@ TEST(UdpTransport, ReuseportShardedReceiveSmoke) {
   // datagrams land on.
   UdpNodeConfig cfg = fast_cfg();
   cfg.transport.rx_shards = 2;
-  auto nodes = make_mesh(2, cfg);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs, cfg);
   EXPECT_EQ(nodes[0]->transport()->rx_shards(), 2u);
   for (auto& node : nodes) node->create_group(1, {0, 1});
   std::this_thread::sleep_for(100ms);
@@ -467,16 +484,16 @@ TEST(UdpTransport, ReuseportShardedReceiveSmoke) {
   }
   ASSERT_TRUE(wait_for(
       [&] {
-        return nodes[0]->delivery_count(1) >= 8 &&
-               nodes[1]->delivery_count(1) >= 8;
+        return logs[0].delivery_count(1) >= 8 &&
+               logs[1].delivery_count(1) >= 8;
       },
       10s));
   // Total order holds across the sharded path.
-  const auto a = nodes[0]->deliveries();
-  const auto b = nodes[1]->deliveries();
+  const auto a = logs[0].deliveries();
+  const auto b = logs[1].deliveries();
   ASSERT_GE(a.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(a[i].payload, b[i].payload) << "pos " << i;
+    EXPECT_EQ(a[i].delivery.payload, b[i].delivery.payload) << "pos " << i;
   }
   for (auto& node : nodes) node->stop();
 }
@@ -489,9 +506,12 @@ TEST(UdpTransport, MmsgFallbackInterop) {
   mmsg_cfg.transport.use_mmsg = true;
   UdpNodeConfig plain_cfg = fast_cfg();
   plain_cfg.transport.use_mmsg = false;
+  std::deque<EventLog> logs(2);
   std::vector<std::unique_ptr<UdpNode>> nodes;
-  nodes.push_back(std::make_unique<UdpNode>(0, /*port=*/0, mmsg_cfg));
-  nodes.push_back(std::make_unique<UdpNode>(1, /*port=*/0, plain_cfg));
+  nodes.push_back(
+      std::make_unique<UdpNode>(0, /*port=*/0, logged(mmsg_cfg, logs[0])));
+  nodes.push_back(
+      std::make_unique<UdpNode>(1, /*port=*/0, logged(plain_cfg, logs[1])));
   EXPECT_FALSE(nodes[1]->transport()->mmsg_enabled());
   nodes[0]->add_peer(1, nodes[1]->port());
   nodes[1]->add_peer(0, nodes[0]->port());
@@ -503,14 +523,14 @@ TEST(UdpTransport, MmsgFallbackInterop) {
   }
   ASSERT_TRUE(wait_for(
       [&] {
-        return nodes[0]->delivery_count(1) >= 6 &&
-               nodes[1]->delivery_count(1) >= 6;
+        return logs[0].delivery_count(1) >= 6 &&
+               logs[1].delivery_count(1) >= 6;
       },
       10s));
-  const auto a = nodes[0]->deliveries();
-  const auto b = nodes[1]->deliveries();
+  const auto a = logs[0].deliveries();
+  const auto b = logs[1].deliveries();
   for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(a[i].payload, b[i].payload) << "pos " << i;
+    EXPECT_EQ(a[i].delivery.payload, b[i].delivery.payload) << "pos " << i;
   }
   for (auto& node : nodes) node->stop();
 }
@@ -528,7 +548,8 @@ TEST(UdpTransport, FastRetransmitViaDeadlineWakeups) {
   // peer resets its channel (and the stats we assert on).
   cfg.endpoint.omega = 50 * sim::kMillisecond;
   cfg.endpoint.omega_big = 30 * sim::kSecond;
-  auto nodes = make_mesh(2, cfg);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs, cfg);
   for (auto& node : nodes) node->create_group(1, {0, 1});
   std::this_thread::sleep_for(100ms);
   // Establish an RTT estimate (loopback: srtt ~ microseconds, so the
@@ -538,7 +559,7 @@ TEST(UdpTransport, FastRetransmitViaDeadlineWakeups) {
     std::this_thread::sleep_for(5ms);
   }
   ASSERT_TRUE(wait_for(
-      [&] { return nodes[1]->delivery_count(1) >= 5; }, 10s));
+      [&] { return logs[1].delivery_count(1) >= 5; }, 10s));
   ASSERT_GT(nodes[0]->transport_stats().rtt_samples, 0u);
   // Kill the peer; everything sent to it from now on is loss.
   nodes[1]->stop();
@@ -560,7 +581,8 @@ TEST(UdpTransport, ConcurrentStopIsSafe) {
   // another thread) both reached join() on the same std::thread. The
   // handles are now guarded by join_mutex_; under TSan the old code
   // reports a data race here.
-  auto nodes = make_mesh(2);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs);
   nodes[0]->create_group(1, {0, 1});
   nodes[1]->create_group(1, {0, 1});
   std::this_thread::sleep_for(50ms);
@@ -584,9 +606,11 @@ TEST(UdpTransport, DetachUnderLoadNeverStalls) {
   // busy while groups of nodes are repeatedly attached, given traffic and
   // stopped; every stop must return within a bound.
   auto transport = std::make_shared<UdpTransport>(0);
+  std::deque<EventLog> logs(2);
   std::vector<std::unique_ptr<UdpNode>> load;
   for (ProcessId id = 0; id < 2; ++id) {
-    load.push_back(std::make_unique<UdpNode>(id, transport, fast_cfg()));
+    load.push_back(std::make_unique<UdpNode>(id, transport,
+                                             logged(fast_cfg(), logs[id])));
     load.back()->add_peer(1 - id, transport->port());
   }
   for (auto& n : load) n->start();
@@ -624,7 +648,7 @@ TEST(UdpTransport, DetachUnderLoadNeverStalls) {
   }
   run.store(false);
   sender.join();
-  EXPECT_GT(load[1]->delivery_count(1), 0u);
+  EXPECT_GT(logs[1].delivery_count(1), 0u);
   for (auto& n : load) {
     bounded("stop of a load node", 5000ms, [&n] { n->stop(); });
   }
@@ -655,9 +679,10 @@ class PackedReceive : public ::testing::TestWithParam<RxMode> {
   // Multicasts `count` distinct payloads (alternating senders, up to
   // ~400 bytes, lengths varying so datagram offsets in a slab vary; a
   // few thousand of them fill a slab) and waits until both nodes
-  // delivered them all. Returns the payloads sent.
+  // delivered them all (per their logs). Returns the payloads sent.
   static std::vector<std::string> send_and_wait(
-      std::vector<std::unique_ptr<UdpNode>>& nodes, int first, int count) {
+      std::vector<std::unique_ptr<UdpNode>>& nodes,
+      const std::deque<EventLog>& logs, int first, int count) {
     std::vector<std::string> sent;
     for (int i = first; i < first + count; ++i) {
       std::string payload = std::to_string(i);
@@ -669,8 +694,8 @@ class PackedReceive : public ::testing::TestWithParam<RxMode> {
     const auto want = static_cast<std::size_t>(first + count);
     EXPECT_TRUE(wait_for(
         [&] {
-          return nodes[0]->delivery_count(1) >= want &&
-                 nodes[1]->delivery_count(1) >= want;
+          return logs[0].delivery_count(1) >= want &&
+                 logs[1].delivery_count(1) >= want;
         },
         60s))
         << "not all multicasts were delivered";
@@ -683,32 +708,34 @@ TEST_P(PackedReceive, RetainedPayloadsSurviveLaterTrafficAndShareSlabs) {
   // stay byte-identical while later datagrams are written into the rest
   // of its slab, and the payloads must share a handful of slabs rather
   // than holding one buffer per datagram.
-  auto nodes = make_mesh(2, config());
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs, config());
   for (auto& node : nodes) node->create_group(1, {0, 1});
   std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
   constexpr int kKept = 2000;
-  const std::vector<std::string> sent = send_and_wait(nodes, 0, kKept);
-  // The delivery log's views keep every payload (and its slab) alive.
-  const std::vector<Delivery> kept = nodes[1]->deliveries();
+  const std::vector<std::string> sent = send_and_wait(nodes, logs, 0, kKept);
+  // The log's views keep every payload (and its slab) alive.
+  const std::vector<DeliveryRecord> kept = logs[1].deliveries();
   ASSERT_EQ(kept.size(), static_cast<std::size_t>(kKept));
   std::vector<std::string> snapshot;
-  for (const Delivery& d : kept) {
-    snapshot.emplace_back(d.payload.begin(), d.payload.end());
+  for (const DeliveryRecord& r : kept) {
+    snapshot.emplace_back(r.delivery.payload.begin(),
+                          r.delivery.payload.end());
   }
   EXPECT_EQ(std::multiset<std::string>(snapshot.begin(), snapshot.end()),
             std::multiset<std::string>(sent.begin(), sent.end()));
 
   const std::uint64_t datagrams =
       nodes[1]->transport()->io_stats().rx_datagrams;
-  send_and_wait(nodes, kKept, 1000);  // written into the same slabs
+  send_and_wait(nodes, logs, kKept, 1000);  // written into the same slabs
   // Node 1's own multicasts are delivered from its send buffers; the
   // peer's arrived over the socket and are slices of receive slabs.
   std::set<const util::Bytes*> slabs;
   for (std::size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(std::string(kept[i].payload.begin(), kept[i].payload.end()),
-              snapshot[i])
+    const Delivery& d = kept[i].delivery;
+    EXPECT_EQ(std::string(d.payload.begin(), d.payload.end()), snapshot[i])
         << "payload " << i << " changed under later traffic";
-    if (kept[i].sender == 0) slabs.insert(kept[i].payload.buffer().get());
+    if (d.sender == 0) slabs.insert(d.payload.buffer().get());
   }
   EXPECT_GE(datagrams, static_cast<std::uint64_t>(kKept / 2));
   EXPECT_LT(slabs.size() * 10, datagrams)
@@ -724,17 +751,19 @@ TEST_P(PackedReceive, LargeDatagramAfterManySmallIsNotTruncated) {
   // never cut short. A small burst makes each slot fill and rotate.
   UdpNodeConfig cfg = config();
   cfg.transport.burst = 2;
-  auto nodes = make_mesh(2, cfg);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs, cfg);
   for (auto& node : nodes) node->create_group(1, {0, 1});
   std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
   constexpr int kSmall = 4000;
-  send_and_wait(nodes, 0, kSmall);
+  send_and_wait(nodes, logs, 0, kSmall);
   // Node 0's datagrams are one flow, so one receive context (the loop's
   // or one shard's) took them all, into at most this many slots.
   const std::size_t slots =
       nodes[1]->transport()->mmsg_enabled() ? cfg.transport.burst : 1;
   std::set<const util::Bytes*> slabs;
-  for (const Delivery& d : nodes[1]->deliveries()) {
+  for (const DeliveryRecord& r : logs[1].deliveries()) {
+    const Delivery& d = r.delivery;
     if (d.sender == 0) slabs.insert(d.payload.buffer().get());
   }
   EXPECT_GT(slabs.size(), slots) << "no receive slot moved to a fresh slab";
@@ -746,13 +775,14 @@ TEST_P(PackedReceive, LargeDatagramAfterManySmallIsNotTruncated) {
   nodes[0]->multicast(1, big);
   ASSERT_TRUE(wait_for(
       [&] {
-        return nodes[0]->delivery_count(1) > kSmall &&
-               nodes[1]->delivery_count(1) > kSmall;
+        return logs[0].delivery_count(1) > kSmall &&
+               logs[1].delivery_count(1) > kSmall;
       },
       20s))
       << "large multicast was not delivered";
   for (auto& node : nodes) {
-    EXPECT_EQ(node->deliveries().back().payload, big) << "node " << node->id();
+    EXPECT_EQ(logs[node->id()].deliveries().back().delivery.payload, big)
+        << "node " << node->id();
     EXPECT_EQ(node->transport()->io_stats().rx_truncated, 0u);
   }
   for (auto& node : nodes) node->stop();
@@ -766,15 +796,94 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(mode.param.name);
     });
 
+TEST(UdpTransport, NodeHoldsNoDeliveredPayload) {
+  // A UdpNode hands each delivery to the sink and keeps no reference of
+  // its own. Copy-out delivery, so the payload is a right-sized buffer
+  // rather than a slice of a receive slab the transport is still
+  // filling: once the message is stable, the sink's copy of the view is
+  // the buffer's only owner.
+  UdpNodeConfig cfg = fast_cfg();
+  std::mutex mu;
+  util::BytesView kept;  // the first 1 KB payload node 1 delivered
+  auto transport = std::make_shared<UdpTransport>(0);
+  std::vector<std::unique_ptr<UdpNode>> nodes;
+  for (ProcessId id = 0; id < 3; ++id) {
+    UdpNodeConfig node_cfg = cfg;
+    if (id == 1) {
+      node_cfg.on_event = [&](const Event& ev) {
+        const auto* d = std::get_if<DeliveryEvent>(&ev);
+        std::lock_guard<std::mutex> lock(mu);
+        if (d != nullptr && kept.empty()) kept = d->delivery.payload;
+      };
+    }
+    nodes.push_back(std::make_unique<UdpNode>(id, transport, node_cfg));
+  }
+  for (auto& n : nodes) {
+    for (auto& peer : nodes) {
+      if (peer->id() != n->id()) n->add_peer(peer->id(), transport->port());
+    }
+  }
+  for (auto& n : nodes) n->start();
+  GroupOptions opts;
+  opts.delivery = DeliveryMode::kPooledCopy;
+  for (auto& n : nodes) n->create_group(1, {0, 1, 2}, opts);
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  nodes[0]->multicast(1, util::Bytes(1024, std::uint8_t{0xab}));
+
+  auto sole_owner = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return kept.size() == 1024 && kept.buffer().use_count() == 1;
+  };
+  EXPECT_TRUE(wait_for(sole_owner, 3s))
+      << "something besides the application holds the delivered payload";
+  for (auto& n : nodes) n->stop();
+}
+
+TEST(UdpTransport, EventLogReadWhileLoopThreadRecords) {
+  // An EventLog attached to a UdpNode is written on the transport's loop
+  // thread while the application reads it from its own; the TSan leg
+  // runs this file, so every snapshot below races a record for real.
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs);
+  for (auto& node : nodes) node->create_group(1, {0, 1});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  constexpr std::size_t kMessages = 200;
+  std::thread sender([&] {
+    for (std::size_t i = 0; i < kMessages; ++i) {
+      nodes[i % 2]->multicast(1, bytes_of("m" + std::to_string(i)));
+      std::this_thread::sleep_for(200us);
+    }
+  });
+  // Counts and snapshots only grow, and a snapshot taken after a count
+  // holds at least that many deliveries.
+  std::size_t last = 0;
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (last < kMessages && std::chrono::steady_clock::now() < deadline) {
+    const std::size_t n = logs[1].delivery_count(1);
+    EXPECT_GE(n, last);
+    EXPECT_GE(logs[1].deliveries().size(), n);
+    EXPECT_GE(logs[1].delivered_strings(1).size(), n);
+    last = n;
+    std::this_thread::yield();
+  }
+  sender.join();
+  ASSERT_EQ(last, kMessages) << "not all multicasts were delivered";
+  ASSERT_TRUE(
+      wait_for([&] { return logs[0].delivery_count(1) == kMessages; }, 10s));
+  EXPECT_EQ(logs[0].delivered_strings(1), logs[1].delivered_strings(1));
+  for (auto& node : nodes) node->stop();
+}
+
 TEST(UdpTransport, DynamicFormationOverLoopback) {
-  auto nodes = make_mesh(3);
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(3, logs);
   nodes[0]->initiate_group(5, {0, 1, 2});
   std::this_thread::sleep_for(300ms);
   nodes[1]->multicast(5, bytes_of("over udp"));
   ASSERT_TRUE(wait_for(
       [&] {
         for (auto& node : nodes) {
-          if (node->delivery_count(5) < 1) return false;
+          if (logs[node->id()].delivery_count(5) < 1) return false;
         }
         return true;
       },
@@ -798,6 +907,7 @@ TEST(UdpTransport, JoinLiveGroupOverLoopback) {
   std::atomic<bool> caught_up{false};
   std::atomic<int> joins_seen{0};
   auto transport = std::make_shared<UdpTransport>(0);
+  std::deque<EventLog> logs(4);
   std::vector<std::unique_ptr<UdpNode>> nodes;
   for (ProcessId id = 0; id < 4; ++id) {
     UdpNodeConfig cfg = fast_cfg();
@@ -815,7 +925,8 @@ TEST(UdpTransport, JoinLiveGroupOverLoopback) {
         if (id != kJoiner && mj->member == kJoiner) ++joins_seen;
       }
     };
-    nodes.push_back(std::make_unique<UdpNode>(id, transport, cfg));
+    nodes.push_back(
+        std::make_unique<UdpNode>(id, transport, logged(cfg, logs[id])));
   }
   for (auto& n : nodes) {
     for (auto& peer : nodes) {
@@ -896,15 +1007,8 @@ TEST(UdpTransport, JoinLiveGroupOverLoopback) {
   // The joiner's own delivery sequence is a proper suffix of an
   // incumbent's: it delivered only what followed the cutover, and the
   // snapshot carried the rest.
-  auto payloads = [](const UdpNode& n) {
-    std::vector<std::string> out;
-    for (const Delivery& d : n.deliveries()) {
-      if (d.group == 1) out.emplace_back(d.payload.begin(), d.payload.end());
-    }
-    return out;
-  };
-  const auto d0 = payloads(*nodes[0]);
-  const auto dj = payloads(*nodes[kJoiner]);
+  const auto d0 = logs[0].delivered_strings(1);
+  const auto dj = logs[kJoiner].delivered_strings(1);
   ASSERT_FALSE(dj.empty());
   EXPECT_EQ(dj.back(), "fence");
   ASSERT_LT(dj.size(), d0.size());
