@@ -23,6 +23,9 @@
 //   wakeups_per_msg    — event-loop poll returns / delivered message
 //   dgrams_per_syscall — datagrams moved per socket syscall
 //   rx_copies          — staging copies on the receive path (must be 0)
+//   rx_full_bursts     — recvmmsg calls that filled every slot, per
+//                        receive syscall (0 in fallback; not gated): how
+//                        often the burst depth bounded a drain
 //   rx_pinned_bytes_per_payload_byte — distinct backing-buffer bytes
 //                        held by the nodes' EventLogs of every
 //                        delivered payload, over those payloads' bytes:
@@ -106,6 +109,7 @@ struct Mesh {
       sum.tx_datagrams += s.tx_datagrams;
       sum.rx_datagrams += s.rx_datagrams;
       sum.rx_copies += s.rx_copies;
+      sum.rx_full_bursts += s.rx_full_bursts;
       sum.wakeups += s.wakeups;
     }
     return sum;
@@ -214,6 +218,14 @@ void BM_UdpPath(benchmark::State& state) {
       static_cast<double>(after.wakeups - before.wakeups);
   const double copies =
       static_cast<double>(after.rx_copies - before.rx_copies);
+  const double rx_syscalls =
+      static_cast<double>(after.rx_syscalls - before.rx_syscalls);
+  const double full_bursts =
+      rx_syscalls > 0
+          ? static_cast<double>(after.rx_full_bursts -
+                                before.rx_full_bursts) /
+                rx_syscalls
+          : 0;
   if (msgs <= 0 || syscalls <= 0) return;
   // The zero-copy receive invariant is part of the contract, not a
   // trend to gate: any staging copy is a regression, so fail the run.
@@ -240,6 +252,7 @@ void BM_UdpPath(benchmark::State& state) {
                               {"wakeups_per_msg", wakeups / msgs},
                               {"dgrams_per_syscall", dgrams / syscalls},
                               {"rx_copies", copies},
+                              {"rx_full_bursts", full_bursts},
                               {"rx_pinned_bytes_per_payload_byte", pinned}});
   (want_mmsg ? g_spm_mmsg : g_spm_fallback) = spm;
   if (g_spm_mmsg > 0 && g_spm_fallback > 0) {

@@ -11,6 +11,7 @@ const char* to_string(SendResult r) {
     case SendResult::kQueued: return "queued";
     case SendResult::kNotMember: return "not-member";
     case SendResult::kBackpressure: return "backpressure";
+    case SendResult::kTooLarge: return "too-large";
   }
   return "?";
 }

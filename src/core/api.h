@@ -69,11 +69,15 @@ struct RetentionStats {
 //   kBackpressure  — the per-group pending-send window
 //                    (Config::max_pending_sends) is full; the payload was
 //                    dropped and a SendWindowEvent will announce reopening.
+//   kTooLarge      — the payload cannot fit in one datagram of the host's
+//                    transport (UdpNode: kMaxUdpPayload); it was dropped
+//                    before the engine saw it.
 enum class SendResult : std::uint8_t {
   kSent = 0,
   kQueued = 1,
   kNotMember = 2,
   kBackpressure = 3,
+  kTooLarge = 4,
 };
 
 // True when the message was admitted (it will be multicast, now or once
@@ -91,6 +95,7 @@ struct SendCounts {
   std::uint64_t queued = 0;
   std::uint64_t not_member = 0;
   std::uint64_t backpressure = 0;
+  std::uint64_t too_large = 0;
 
   void note(SendResult r) {
     switch (r) {
@@ -98,10 +103,13 @@ struct SendCounts {
       case SendResult::kQueued: ++queued; break;
       case SendResult::kNotMember: ++not_member; break;
       case SendResult::kBackpressure: ++backpressure; break;
+      case SendResult::kTooLarge: ++too_large; break;
     }
   }
   std::uint64_t accepted() const { return sent + queued; }
-  std::uint64_t rejected() const { return not_member + backpressure; }
+  std::uint64_t rejected() const {
+    return not_member + backpressure + too_large;
+  }
   std::uint64_t total() const { return accepted() + rejected(); }
 };
 

@@ -350,7 +350,7 @@ util::Bytes BatchFrame::encode() const {
 std::size_t BatchFrame::encoded_size_bound(
     const std::vector<util::BytesView>& payloads) {
   std::size_t total = 16;  // type byte + count varint, rounded up
-  for (const auto& p : payloads) total += p.size() + 4;  // 4: len varint
+  for (const auto& p : payloads) total += p.size() + kLenPrefixBound;
   return total;
 }
 

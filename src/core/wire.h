@@ -264,6 +264,8 @@ struct BatchFrame {
   std::vector<util::BytesView> payloads;
 
   static constexpr std::size_t kMaxPayloads = 4096;
+  // Bound on one payload's length prefix (a varint) in the frame.
+  static constexpr std::size_t kLenPrefixBound = 4;
 
   util::Bytes encode() const;
   // Upper bound on the encoded frame size for these payloads — the one

@@ -26,6 +26,12 @@ using PeerId = std::uint32_t;
 
 class Router {
  public:
+  // Bytes of payloads plus their length prefixes past which
+  // send_relayed stops coalescing: with the batch head, channel header
+  // and UDP envelope on top, such a frame still fits one IPv4 UDP
+  // datagram (65,507 bytes).
+  static constexpr std::size_t kMaxRelayBatchBytes = 60 * 1024;
+
   // Sends one datagram towards a peer (unreliably).
   using SendDatagramFn = std::function<void(PeerId to, util::Bytes)>;
   // Delivers one in-order payload from a peer: an owned slice of the
@@ -78,6 +84,7 @@ class Router {
       channel_send(to, peer, std::move(payload), now);
       return;
     }
+    peer.pending_bytes += payload->size() + BatchFrame::kLenPrefixBound;
     peer.pending.push_back(util::BytesView(std::move(payload)));
     if (peer.pending.size() >= config_.max_batch) flush_peer(to, peer, now);
   }
@@ -101,6 +108,14 @@ class Router {
       channel_send(to, peer, std::move(payload), now);
       return;
     }
+    // Relays are what the UDP host batches, and a forward may be near
+    // the datagram limit: such a forward travels alone rather than make
+    // its whole batch unsendable.
+    const std::size_t framed = payload.size() + BatchFrame::kLenPrefixBound;
+    if (peer.pending_bytes + framed > kMaxRelayBatchBytes) {
+      flush_peer(to, peer, now);
+    }
+    peer.pending_bytes += framed;
     peer.pending.push_back(std::move(payload));
     if (peer.pending.size() >= config_.max_batch) flush_peer(to, peer, now);
   }
@@ -261,6 +276,8 @@ class Router {
     // whole encoding, a relayed one views a slice of its arrival
     // datagram — either way the backing allocation stays alive.
     std::vector<util::BytesView> pending;
+    // pending's share of a BatchFrame: sizes plus length prefixes.
+    std::size_t pending_bytes = 0;
     // An ack is owed for received data; cleared when an outgoing data
     // packet piggybacks it or a standalone kAck is flushed (not before
     // ack_due — waiting lets one cumulative ack cover a whole burst).
@@ -305,6 +322,7 @@ class Router {
       channel_send(to, peer, share_frame(peer.pending), now);
     }
     peer.pending.clear();
+    peer.pending_bytes = 0;
   }
 
   // Encodes a BatchFrame, drawing storage and shared-ownership plumbing

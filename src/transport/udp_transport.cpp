@@ -61,9 +61,12 @@ std::uint32_t get_le32(const std::uint8_t* p) {
 
 // Receive geometry: each window takes the UDP maximum (larger datagrams
 // are dropped as rx_truncated); a slab holds kRxSlabFactor windows, and
-// datagrams pack into it on kRxAlign-byte boundaries (see RxSlab).
+// datagrams pack into it on kRxAlign-byte boundaries (see RxSlab). Two
+// windows: one to receive into, one of packing room before the slot
+// rotates — a slab is 128 KB, and a receive context holds `burst` of
+// them.
 constexpr std::size_t kRxBufferBytes = 65536;
-constexpr std::size_t kRxSlabFactor = 4;
+constexpr std::size_t kRxSlabFactor = 2;
 constexpr std::size_t kRxSlabBytes = kRxSlabFactor * kRxBufferBytes;
 constexpr std::size_t kRxAlign = 64;
 
@@ -259,6 +262,7 @@ TransportIoStats UdpTransport::io_stats() const {
   s.rx_syscalls = rx_syscalls_.load(std::memory_order_relaxed);
   s.tx_datagrams = tx_datagrams_.load(std::memory_order_relaxed);
   s.rx_datagrams = rx_datagrams_.load(std::memory_order_relaxed);
+  s.rx_full_bursts = rx_full_bursts_.load(std::memory_order_relaxed);
   s.rx_copies = rx_copies_.load(std::memory_order_relaxed);
   s.rx_truncated = rx_truncated_.load(std::memory_order_relaxed);
   s.rx_unroutable = rx_unroutable_.load(std::memory_order_relaxed);
@@ -434,6 +438,7 @@ void UdpTransport::drain_socket(int fd, RxSlots& slots,
       // A short burst means the queue is drained; a full one may hide
       // more behind it.
       if (static_cast<std::size_t>(n) < burst) return;
+      rx_full_bursts_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 #endif
@@ -764,7 +769,9 @@ T UdpNode::marshal(T fallback, Fn&& fn) {
 
 SendResult UdpNode::multicast_now(GroupId g, util::Bytes payload,
                                   sim::Time now) {
-  const SendResult r = endpoint_->multicast(g, std::move(payload), now);
+  const SendResult r = payload.size() > kMaxUdpPayload
+                           ? SendResult::kTooLarge
+                           : endpoint_->multicast(g, std::move(payload), now);
   util::MutexLock lock(log_mutex_);
   send_counts_.note(r);
   return r;

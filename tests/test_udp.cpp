@@ -746,9 +746,10 @@ TEST_P(PackedReceive, RetainedPayloadsSurviveLaterTrafficAndShareSlabs) {
 
 TEST_P(PackedReceive, LargeDatagramAfterManySmallIsNotTruncated) {
   // A slot moves to a fresh slab before its tail gets shorter than a
-  // full receive window, so a near-maximum datagram arriving after
-  // thousands of small ones (slots well into, or past, their slabs) is
-  // never cut short. A small burst makes each slot fill and rotate.
+  // full receive window, so the largest payload a node accepts,
+  // arriving after thousands of small datagrams (slots well into, or
+  // past, their slabs), is never cut short. A small burst makes each
+  // slot fill and rotate.
   UdpNodeConfig cfg = config();
   cfg.transport.burst = 2;
   std::deque<EventLog> logs;
@@ -768,7 +769,7 @@ TEST_P(PackedReceive, LargeDatagramAfterManySmallIsNotTruncated) {
   }
   EXPECT_GT(slabs.size(), slots) << "no receive slot moved to a fresh slab";
 
-  util::Bytes big(60000);
+  util::Bytes big(kMaxUdpPayload);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 31 + 7);
   }
@@ -784,6 +785,30 @@ TEST_P(PackedReceive, LargeDatagramAfterManySmallIsNotTruncated) {
     EXPECT_EQ(logs[node->id()].deliveries().back().delivery.payload, big)
         << "node " << node->id();
     EXPECT_EQ(node->transport()->io_stats().rx_truncated, 0u);
+  }
+  for (auto& node : nodes) node->stop();
+}
+
+TEST_P(PackedReceive, FullBurstsAreCounted) {
+  // rx_full_bursts counts the recvmmsg calls that filled every offered
+  // slot, the sign that the burst depth limits a drain. Two slots under
+  // thousands of back-to-back datagrams fill often; the per-packet
+  // recvmsg path has no burst to fill.
+  UdpNodeConfig cfg = config();
+  cfg.transport.burst = 2;
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs, cfg);
+  for (auto& node : nodes) node->create_group(1, {0, 1});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  send_and_wait(nodes, logs, 0, 4000);
+  for (auto& node : nodes) {
+    const TransportIoStats io = node->transport()->io_stats();
+    if (node->transport()->mmsg_enabled()) {
+      EXPECT_GT(io.rx_full_bursts, 0u) << "node " << node->id();
+      EXPECT_LE(io.rx_full_bursts * 2, io.rx_datagrams);
+    } else {
+      EXPECT_EQ(io.rx_full_bursts, 0u) << "node " << node->id();
+    }
   }
   for (auto& node : nodes) node->stop();
 }
@@ -838,6 +863,190 @@ TEST(UdpTransport, NodeHoldsNoDeliveredPayload) {
       << "something besides the application holds the delivered payload";
   for (auto& n : nodes) n->stop();
 }
+
+TEST(UdpTransport, HeaderAllowanceCoversLargestWireHeaders) {
+  // kMaxUdpPayload leaves kWireHeaderAllowance bytes for what the wire
+  // encoders wrap around an application payload on its way out. Encode
+  // every stack a payload travels in, every varint at its widest, and
+  // check the datagram still fits.
+  constexpr std::uint64_t kWide = ~std::uint64_t{0};
+  constexpr std::uint32_t kWide32 = ~std::uint32_t{0};
+  const util::Bytes app(kMaxUdpPayload, std::uint8_t{0x5a});
+  auto shared = [](util::Bytes b) {
+    return util::BytesView(util::share(std::move(b)));
+  };
+  auto channel = [](util::BytesView inner) {
+    ChannelDataFrame f;
+    f.seq = kWide;
+    f.cum_ack = kWide;
+    f.timing = TimingStamp{kWide, true};
+    f.echo = TimingStamp{kWide, false};
+    f.payload = std::move(inner);
+    return f.encode();
+  };
+  OrderedMsg m;  // a direct multicast, sequencer echo or relayed content
+  m.group = kWide32;
+  m.sender = kWide32;
+  m.emitter = kWide32;
+  m.counter = kWide;
+  m.origin_counter = kWide;
+  m.ldn = kWide;
+  m.payload = shared(app);
+  const util::Bytes ordered = m.encode();
+  FwdMsg fwd;  // asymmetric origin -> sequencer
+  fwd.group = kWide32;
+  fwd.origin = kWide32;
+  fwd.origin_counter = kWide;
+  fwd.payload = shared(app);
+  RelayFrame relay;  // tree or ring overlay hop
+  relay.group = kWide32;
+  relay.origin = kWide32;
+  relay.seq = kWide;
+  relay.payload = shared(ordered);
+  for (const util::Bytes& datagram :
+       {channel(shared(ordered)), channel(shared(fwd.encode())),
+        channel(shared(relay.encode()))}) {
+    EXPECT_LE(datagram.size() - app.size(), kWireHeaderAllowance);
+    EXPECT_LE(kUdpEnvelopeSize + datagram.size(), kMaxUdpDatagram);
+  }
+  // A relay batch stops growing at Router::kMaxRelayBatchBytes (payloads
+  // plus their length prefixes); its frame head and channel header must
+  // fit on top of that as well.
+  const std::size_t head = BatchFrame::encoded_size_bound({});
+  const std::size_t channel_header = channel(shared(app)).size() - app.size();
+  EXPECT_LE(kUdpEnvelopeSize + channel_header + head +
+                Router::kMaxRelayBatchBytes,
+            kMaxUdpDatagram);
+}
+
+TEST(UdpTransport, OversizedMulticastIsRejected) {
+  // A payload that cannot fit in one datagram is refused before the
+  // engine sees it: the sender does not deliver it to itself, nothing
+  // reaches the socket, and the group carries on in its view.
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(2, logs);
+  for (auto& node : nodes) node->create_group(1, {0, 1});
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  const std::size_t views = logs[0].views().size();
+  EXPECT_EQ(nodes[0]->group(1).multicast(util::Bytes(70000)),
+            SendResult::kTooLarge);
+  std::promise<SendResult> verdict;
+  nodes[0]->multicast(1, util::Bytes(kMaxUdpPayload + 1),
+                      [&](SendResult r) { verdict.set_value(r); });
+  EXPECT_EQ(verdict.get_future().get(), SendResult::kTooLarge);
+  EXPECT_EQ(nodes[0]->send_counts().too_large, 2u);
+
+  // The group still works, and the rejected payloads never show up.
+  nodes[0]->multicast(1, bytes_of("after"));
+  ASSERT_TRUE(wait_for(
+      [&] {
+        return logs[0].delivery_count(1) >= 1 &&
+               logs[1].delivery_count(1) >= 1;
+      },
+      5s));
+  std::this_thread::sleep_for(500ms);  // several suspicion periods
+  for (auto& node : nodes) {
+    const EventLog& log = logs[node->id()];
+    EXPECT_EQ(log.delivered_strings(1), std::vector<std::string>{"after"})
+        << "node " << node->id();
+    EXPECT_EQ(log.views().size(), views) << "node " << node->id();
+    EXPECT_EQ(node->transport()->io_stats().tx_dropped, 0u);
+  }
+  for (auto& node : nodes) node->stop();
+}
+
+// The largest accepted payload crosses every dissemination: direct
+// symmetric fan-out, the asymmetric forward and sequencer echo, and a
+// tree overlay whose relays forward it (and batch their other forwards
+// around it) with six members.
+struct Dissemination {
+  const char* name;
+  OrderMode mode;
+  DisseminationStrategy strategy;
+};
+
+void PrintTo(const Dissemination& d, std::ostream* os) { *os << d.name; }
+
+class LargestPayload : public ::testing::TestWithParam<Dissemination> {};
+
+TEST_P(LargestPayload, DeliveredEverywhere) {
+  constexpr std::size_t kNodes = 6;
+  std::deque<EventLog> logs;
+  auto nodes = make_mesh(kNodes, logs);
+  GroupOptions opts;
+  opts.mode = GetParam().mode;
+  opts.dissemination = GetParam().strategy;
+  opts.relay_arity = 4;
+  std::vector<ProcessId> members;
+  for (ProcessId p = 0; p < kNodes; ++p) members.push_back(p);
+  for (auto& node : nodes) node->create_group(1, members, opts);
+  std::this_thread::sleep_for(100ms);  // bootstrap settle (see above)
+  const std::size_t views = logs[0].views().size();
+
+  // Two large payloads from different senders amid small traffic, so
+  // relays see large and small forwards in the same iteration.
+  std::vector<util::Bytes> big;
+  for (std::uint8_t k = 0; k < 2; ++k) {
+    util::Bytes b(kMaxUdpPayload);
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      b[i] = static_cast<std::uint8_t>(i * 31 + k);
+    }
+    big.push_back(std::move(b));
+  }
+  constexpr std::size_t kSmall = 40;
+  for (std::size_t i = 0; i < kSmall; ++i) {
+    nodes[i % kNodes]->multicast(1, bytes_of("s" + std::to_string(i)));
+    if (i == kSmall / 4) nodes[1]->multicast(1, big[0]);
+    if (i == kSmall / 2) nodes[4]->multicast(1, big[1]);
+  }
+  const std::size_t want = kSmall + big.size();
+  ASSERT_TRUE(wait_for(
+      [&] {
+        for (const EventLog& log : logs) {
+          if (log.delivery_count(1) < want) return false;
+        }
+        return true;
+      },
+      20s))
+      << "not every member delivered every message";
+  for (auto& node : nodes) {
+    const EventLog& log = logs[node->id()];
+    std::size_t large = 0;
+    for (const DeliveryRecord& r : log.deliveries()) {
+      const util::BytesView& p = r.delivery.payload;
+      if (p.size() != kMaxUdpPayload) continue;
+      EXPECT_TRUE(p == big[0] || p == big[1]) << "node " << node->id();
+      ++large;
+    }
+    EXPECT_EQ(large, big.size()) << "node " << node->id();
+    EXPECT_EQ(log.delivered_strings(1), logs[0].delivered_strings(1));
+    EXPECT_EQ(log.views().size(), views) << "node " << node->id();
+    const TransportIoStats io = node->transport()->io_stats();
+    EXPECT_EQ(io.rx_truncated, 0u);
+    EXPECT_EQ(io.tx_dropped, 0u);
+  }
+  if (opts.dissemination == DisseminationStrategy::kTree) {
+    std::uint64_t forwarded = 0;
+    for (auto& node : nodes) {
+      forwarded += node->endpoint_stats().relays_forwarded;
+    }
+    EXPECT_GT(forwarded, 0u) << "no member relayed";
+  }
+  for (auto& node : nodes) node->stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Disseminations, LargestPayload,
+    ::testing::Values(
+        Dissemination{"symmetric", OrderMode::kSymmetric,
+                      DisseminationStrategy::kFullMesh},
+        Dissemination{"asymmetric", OrderMode::kAsymmetric,
+                      DisseminationStrategy::kFullMesh},
+        Dissemination{"tree4", OrderMode::kSymmetric,
+                      DisseminationStrategy::kTree}),
+    [](const ::testing::TestParamInfo<Dissemination>& d) {
+      return std::string(d.param.name);
+    });
 
 TEST(UdpTransport, EventLogReadWhileLoopThreadRecords) {
   // An EventLog attached to a UdpNode is written on the transport's loop
